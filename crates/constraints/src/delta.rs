@@ -18,11 +18,14 @@
 //! FO and FP bodies are not monotone (negation); for those the overlay is
 //! materialized once and the body re-evaluated in full — correct, just not
 //! incremental.
+//!
+//! [`PreparedInds`] is the IND-only counterpart the deciders use under
+//! Corollary 3.4, where a candidate delta is checked on its own.
 
-use crate::cc::{CcBody, ConstraintSet};
-use ric_data::{Database, Overlay, RelId, Tuple};
+use crate::cc::{CcBody, CcRhs, ConstraintSet};
+use ric_data::{Database, DeltaBuf, Overlay, RelId, Tuple};
 use ric_plan::planner::{plan_tableau_delta, StatsProvider};
-use ric_plan::{exec, DeltaPlans};
+use ric_plan::DeltaPlans;
 use ric_query::eval::eval_tableau_delta;
 use ric_query::tableau::{Tableau, TableauError};
 use std::collections::BTreeSet;
@@ -57,8 +60,9 @@ struct PreparedCc {
     /// with [`PreparedUpper::with_plans`]. Plans and tableaux answer the
     /// same question; the plans just fix the join order up front.
     plans: Option<Vec<DeltaPlans>>,
-    /// The right-hand side evaluated on the master data, fixed per decision.
-    rhs: BTreeSet<Tuple>,
+    /// The right-hand side evaluated on the master data, fixed per decision,
+    /// sorted and distinct (binary-searched per delta answer).
+    rhs: Vec<Tuple>,
 }
 
 /// A constraint set compiled against fixed master data, ready to answer
@@ -131,7 +135,7 @@ impl PreparedUpper {
                 rels: cc.body.rels(),
                 tableaux,
                 plans,
-                rhs: cc.rhs.eval(dm),
+                rhs: cc.rhs.eval(dm).into_iter().collect(),
             });
         }
         let planned_rows = match stats {
@@ -219,43 +223,30 @@ impl PreparedUpper {
         original: &ConstraintSet,
         ov: &Overlay<'_>,
     ) -> Result<DeltaCheck, TableauError> {
-        let novel: BTreeSet<RelId> = ov.novel_rels().collect();
+        let mut novel = NovelRels::new(ov);
         let mut checked = 0usize;
         let mut skipped = 0usize;
         // Lazily materialized union, shared by every FO/FP body.
         let mut materialized: Option<Database> = None;
+        let within = |rhs: &[Tuple], a: &Tuple| rhs.binary_search(a).is_ok();
         for (i, (prep, cc)) in self.ccs.iter().zip(original.ccs.iter()).enumerate() {
-            if prep.rels.is_disjoint(&novel) {
+            if !prep.rels.iter().any(|&r| novel.has(r)) {
                 skipped += 1;
                 continue;
             }
             checked += 1;
-            match &prep.tableaux {
-                Some(ts) => {
-                    let within = match &prep.plans {
-                        // Compiled path: early-exits on the first delta
-                        // answer outside the bound, no answer-set built.
-                        Some(plans) => exec::with_scratch(|scratch| {
-                            plans
-                                .iter()
-                                .all(|dp| dp.delta_answers_within(ov, scratch, &prep.rhs))
-                        }),
-                        None => ts.iter().all(|t| {
-                            eval_tableau_delta(t, ov)
-                                .iter()
-                                .all(|a| prep.rhs.contains(a))
-                        }),
-                    };
-                    if !within {
-                        return Ok(DeltaCheck {
-                            satisfied: false,
-                            checked,
-                            skipped,
-                            violated: Some(i),
-                        });
-                    }
-                }
-                None => {
+            let holds = match (&prep.plans, &prep.tableaux) {
+                // Compiled path: early-exits on the first delta answer
+                // outside the bound, no answer built.
+                (Some(plans), _) => plans
+                    .iter()
+                    .all(|dp| dp.delta_answers_within(ov, &prep.rhs)),
+                (None, Some(ts)) => ts.iter().all(|t| {
+                    eval_tableau_delta(t, ov)
+                        .iter()
+                        .all(|a| within(&prep.rhs, a))
+                }),
+                (None, None) => {
                     let union = materialized.get_or_insert_with(|| ov.materialize());
                     let lhs = match &cc.body {
                         CcBody::Fo(q) => q.try_eval(union)?,
@@ -263,15 +254,16 @@ impl PreparedUpper {
                         // as_ucq only fails on FO/FP bodies.
                         _ => unreachable!("monotone bodies are prepared as tableaux"),
                     };
-                    if !lhs.iter().all(|a| prep.rhs.contains(a)) {
-                        return Ok(DeltaCheck {
-                            satisfied: false,
-                            checked,
-                            skipped,
-                            violated: Some(i),
-                        });
-                    }
+                    lhs.iter().all(|a| within(&prep.rhs, a))
                 }
+            };
+            if !holds {
+                return Ok(DeltaCheck {
+                    satisfied: false,
+                    checked,
+                    skipped,
+                    violated: Some(i),
+                });
             }
         }
         Ok(DeltaCheck {
@@ -279,6 +271,83 @@ impl PreparedUpper {
             checked,
             skipped,
             violated: None,
+        })
+    }
+}
+
+/// Which relations have a novel delta tuple, worked out at most once per
+/// relation per check (relation ids from 64 up are asked afresh each time).
+struct NovelRels<'o, 'a> {
+    ov: &'o Overlay<'a>,
+    known: u64,
+    novel: u64,
+}
+
+impl<'o, 'a> NovelRels<'o, 'a> {
+    fn new(ov: &'o Overlay<'a>) -> Self {
+        NovelRels {
+            ov,
+            known: 0,
+            novel: 0,
+        }
+    }
+
+    fn has(&mut self, rel: RelId) -> bool {
+        let Some(bit) = u32::try_from(rel.0).ok().and_then(|s| 1u64.checked_shl(s)) else {
+            return self.ov.has_novel(rel);
+        };
+        if self.known & bit == 0 {
+            self.known |= bit;
+            if self.ov.has_novel(rel) {
+                self.novel |= bit;
+            }
+        }
+        self.novel & bit != 0
+    }
+}
+
+/// An IND-only constraint set (every body a projection) prepared against
+/// fixed master data, for checking a candidate delta *on its own*: under
+/// Corollary 3.4 `(D ∪ Δ, D_m) |= V` reduces to `(Δ, D_m) |= V` when `D` is
+/// partially closed. Evaluates the constraints in set order and stops at the
+/// first violation, exactly as [`ConstraintSet::first_violated_upper`] does on
+/// the delta as a database, without building projected tuples.
+pub struct PreparedInds {
+    /// Per constraint: the projected relation and columns, and the
+    /// right-hand side on the master data, sorted and distinct.
+    ccs: Vec<(RelId, Vec<usize>, Vec<Tuple>)>,
+}
+
+impl PreparedInds {
+    /// Prepare `v` against `dm`; `None` unless every body is a projection.
+    pub fn new(v: &ConstraintSet, dm: &Database) -> Option<Self> {
+        let ccs = v
+            .ccs
+            .iter()
+            .map(|cc| match &cc.body {
+                CcBody::Proj(p) => {
+                    let rhs = match &cc.rhs {
+                        CcRhs::Empty => Vec::new(),
+                        CcRhs::Master(m) => m.eval(dm).into_iter().collect(),
+                    };
+                    Some((p.rel, p.cols.clone(), rhs))
+                }
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(PreparedInds { ccs })
+    }
+
+    /// The index of the first constraint the delta's tuples violate, or
+    /// `None` when they satisfy all of them.
+    pub fn first_violated(&self, delta: &DeltaBuf) -> Option<usize> {
+        self.ccs.iter().position(|(rel, cols, rhs)| {
+            delta.iter().any(|(r, t)| {
+                r == *rel
+                    && rhs
+                        .binary_search_by(|m| m.iter().cmp(cols.iter().map(|&c| t.get(c))))
+                        .is_err()
+            })
         })
     }
 }

@@ -19,7 +19,7 @@ pub mod delta;
 
 pub use cc::{CcBody, CcRhs, ConstraintSet, ContainmentConstraint, LowerBound, Projection};
 pub use classical::{Cfd, Cind, Denial, Fd, IndCc};
-pub use delta::{DeltaCheck, PreparedUpper};
+pub use delta::{DeltaCheck, PreparedInds, PreparedUpper};
 // Re-exported so downstream crates (notably `ric-complete`) can accept
 // arbitrary statistics providers without a direct `ric-plan` dependency.
 pub use ric_plan::planner::StatsProvider;

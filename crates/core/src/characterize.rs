@@ -16,8 +16,9 @@ use crate::adom::Adom;
 use crate::budget::{Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
 use crate::query::Query;
+use crate::rcdp::{CandidateChecker, CheckMode};
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{DepthProfile, EnumOutcome, ValuationSpace};
 use crate::verdict::{RcError, Verdict};
 use ric_constraints::{CcBody, CcRhs};
 use ric_data::{Database, Value};
@@ -264,28 +265,24 @@ fn e2_check_inner(
     // `D_𝒱` is partially closed (checked above) and lower bounds are
     // preserved under extension, so `(D_𝒱 ∪ Δ, D_m) |= V` reduces to the
     // upper bounds — exactly what the engine's check mode answers.
-    let mode = crate::rcdp::CheckMode::select(setting, budget.engine, dv)?;
-    let cc_skipped = std::cell::Cell::new(0u64);
+    let mode = CheckMode::select(setting, budget.engine, dv)?;
+    let mut checker = CandidateChecker::new(setting, dv, &mode);
     let mut ok = true;
-    let outcome = space.for_each_valid(
-        &mut meter,
-        |_| true,
-        |mu| {
-            let delta = mu.instantiate(&t, setting.schema.len());
-            let closed = mode.upper_satisfied(setting, dv, &delta, &cc_skipped);
-            if closed {
-                for v in &infinite_head {
-                    if !bound_values.contains(&mu.0[v.idx()]) {
-                        ok = false;
-                        return ControlFlow::Break(());
-                    }
+    let mut visit = |space: &ValuationSpace<'_>, binding: &[u32]| {
+        checker.fill(space, binding);
+        if checker.check().is_none() {
+            for v in &infinite_head {
+                if !bound_values.contains(space.value(binding[v.idx()])) {
+                    ok = false;
+                    return ControlFlow::Break(());
                 }
             }
-            ControlFlow::Continue(())
-        },
-    );
+        }
+        ControlFlow::Continue(())
+    };
+    let outcome = space.enumerate(&DepthProfile::new(), None, &mut meter, &mut visit);
     probe.count("characterize.e2_valuations", meter.used());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
+    probe.count("cc.skipped_by_delta", checker.cc_skipped);
     match outcome {
         EnumOutcome::BudgetExceeded => Ok(None),
         _ => Ok(Some(ok)),

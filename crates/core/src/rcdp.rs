@@ -23,23 +23,24 @@
 use crate::adom::Adom;
 use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::guard::Guard;
+use crate::par::CC_ATTR;
 use crate::query::Query;
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{Candidates, DepthProfile, EnumOutcome, SplitPoint, ValuationSpace};
 use crate::verdict::{BudgetLimit, CounterExample, RcError, SearchStats, Verdict};
-use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, Tuple};
+use ric_constraints::{PreparedInds, PreparedUpper};
+use ric_data::{index::probe_count, Database, DeltaBuf, Overlay, Tuple, Value};
 use ric_query::QueryLanguage;
 use ric_telemetry::Probe;
-use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// How the inner loop checks `(D ∪ Δ, D_m) |= V` per candidate.
 pub(crate) enum CheckMode {
     /// IND constraint sets: projections distribute over unions and `D` is
     /// partially closed, so checking `Δ` alone is equivalent (C3).
-    IndOnly,
+    IndOnly(PreparedInds),
     /// Materialize `D ∪ Δ` and re-check every constraint (naive engine).
     Union,
     /// Overlay `D ∪ Δ` and re-check only what the novel tuples can break.
@@ -71,8 +72,8 @@ impl CheckMode {
         db: &Database,
         reuse: Option<&Arc<PreparedUpper>>,
     ) -> Result<CheckMode, RcError> {
-        if setting.v.is_ind_set() {
-            Ok(CheckMode::IndOnly)
+        if let Some(inds) = PreparedInds::new(&setting.v, &setting.dm) {
+            Ok(CheckMode::IndOnly(inds))
         } else if !engine.indexed() {
             Ok(CheckMode::Union)
         } else if let Some(prep) = reuse {
@@ -101,68 +102,201 @@ impl CheckMode {
         }
     }
 
-    /// Is `(D ∪ Δ, D_m) |= V` for the delta overlaid on `db`? Counts skipped
-    /// constraints into `cc_skipped`.
-    pub(crate) fn upper_satisfied(
+    /// Is `(D ∪ Δ, D_m) |= V` for the delta overlaid on `db`? Reports the
+    /// index of the first violated constraint (`None` = satisfied) and counts
+    /// skipped constraints into `cc_skipped`. Every strategy evaluates the
+    /// constraints in set order and short-circuits on the first violation,
+    /// so the search profiler's `prune.cc.NN` attribution counters key on
+    /// the result without perturbing any other counter.
+    fn upper_check(
         &self,
         setting: &Setting,
         db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
-    ) -> bool {
-        self.upper_check(setting, db, delta, cc_skipped).is_none()
-    }
-
-    /// Like [`Self::upper_satisfied`], reporting the index of the first
-    /// violated constraint (`None` = satisfied). Every strategy evaluates the
-    /// constraints in set order and short-circuits on the first violation, so
-    /// this does exactly the work of the boolean check — the search profiler
-    /// keys its `prune.cc.NN` attribution counters on the result without
-    /// perturbing any other counter.
-    pub(crate) fn upper_check(
-        &self,
-        setting: &Setting,
-        db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
+        delta: &mut DeltaBuf,
+        cc_skipped: &mut u64,
     ) -> Option<usize> {
+        let invalid = |e: &dyn std::fmt::Debug| -> ! {
+            unreachable!("constraint bodies validated by the precondition check: {e:?}")
+        };
         match self {
-            CheckMode::IndOnly => setting
-                .v
-                .first_violated_upper(delta, &setting.dm)
-                .unwrap_or_else(|e| {
-                    unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                }),
+            CheckMode::IndOnly(inds) => inds.first_violated(delta),
             CheckMode::Union => {
                 let extended = db
-                    .union(delta)
+                    .union(&delta.to_database())
                     .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
                 setting
                     .v
                     .first_violated_upper(&extended, &setting.dm)
-                    .unwrap_or_else(|e| {
-                        unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                    })
+                    .unwrap_or_else(|e| invalid(&e))
             }
             CheckMode::Delta(prepared) => {
-                let ov = Overlay::new(db, delta)
+                let ov = Overlay::over_buf(db, delta)
                     .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
                 let res = prepared
                     .satisfied_delta(&setting.v, &ov)
-                    .unwrap_or_else(|e| {
-                        unreachable!("constraint bodies validated by the precondition check: {e:?}")
-                    });
-                cc_skipped.set(cc_skipped.get() + res.skipped as u64);
+                    .unwrap_or_else(|e| invalid(&e));
+                *cc_skipped += res.skipped as u64;
                 res.violated
             }
         }
     }
 }
 
+/// The per-candidate work of every valuation search: instantiate the atoms
+/// a binding has fully bound into one reused [`DeltaBuf`] and check them
+/// against the upper bounds. Steady state, a candidate allocates nothing:
+/// the buffer's tuple slots, the head buffer and the plan executor's binding
+/// array are all reused, and values are decoded only to fill the delta.
+pub(crate) struct CandidateChecker<'d> {
+    setting: &'d Setting,
+    db: &'d Database,
+    mode: &'d CheckMode,
+    delta: DeltaBuf,
+    /// The candidate answer `μ(u)`, for borrowed lookups in `Q(D)`.
+    head: Vec<Value>,
+    pub(crate) cc_checks: u64,
+    pub(crate) cc_skipped: u64,
+    /// `prune.cc.NN` attribution: rejections by first violated constraint.
+    pub(crate) cc_viol: [u64; CC_ATTR],
+}
+
+impl<'d> CandidateChecker<'d> {
+    pub(crate) fn new(setting: &'d Setting, db: &'d Database, mode: &'d CheckMode) -> Self {
+        CandidateChecker {
+            setting,
+            db,
+            mode,
+            delta: DeltaBuf::new(setting.schema.len()),
+            head: Vec::new(),
+            cc_checks: 0,
+            cc_skipped: 0,
+            cc_viol: [0; CC_ATTR],
+        }
+    }
+
+    /// Fill the delta with the atoms of `space` that `binding` binds fully
+    /// (constants-only atoms always qualify). Returns whether any did.
+    pub(crate) fn fill(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> bool {
+        self.delta.clear();
+        let mut any = false;
+        for (rel, args) in space.atoms() {
+            if args
+                .iter()
+                .all(|s| s.code(binding) != crate::valuations::UNBOUND)
+            {
+                self.delta
+                    .insert_with(*rel, args.len(), |i| space.slot_value(args[i], binding));
+                any = true;
+            }
+        }
+        any
+    }
+
+    /// Check the filled delta: the first violated upper bound, if any. Counts
+    /// one CC check and attributes a violation to its constraint. Upper
+    /// bounds only: lower bounds hold on `D` and are preserved by extension
+    /// (monotone bodies).
+    pub(crate) fn check(&mut self) -> Option<usize> {
+        self.cc_checks += 1;
+        let violated =
+            self.mode
+                .upper_check(self.setting, self.db, &mut self.delta, &mut self.cc_skipped);
+        if let Some(i) = violated {
+            self.cc_viol[i.min(CC_ATTR - 1)] += 1;
+        }
+        violated
+    }
+
+    /// Decode the candidate answer `μ(u)` into the reused head buffer.
+    fn load_head(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) {
+        self.head.clear();
+        self.head.extend(
+            space
+                .head()
+                .iter()
+                .map(|&s| space.slot_value(s, binding).clone()),
+        );
+    }
+
+    /// Is the candidate answer `μ(u)` already in `q_d`? Looked up by a
+    /// borrowed key, so no tuple is built.
+    fn answered(
+        &mut self,
+        space: &ValuationSpace<'_>,
+        binding: &[u32],
+        q_d: &BTreeSet<Tuple>,
+    ) -> bool {
+        self.load_head(space, binding);
+        q_d.contains(&self.head[..])
+    }
+
+    /// The filled delta, minus what `D` already holds, as a witness.
+    fn counterexample(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> CounterExample {
+        self.load_head(space, binding);
+        let delta = self
+            .delta
+            .to_database()
+            .difference(self.db)
+            .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
+        CounterExample {
+            delta,
+            new_answer: Tuple::new(self.head.iter().cloned()),
+        }
+    }
+}
+
+/// The exact search of one decision (Theorem 3.6): a valid valuation `μ` is
+/// a counterexample when `μ(u)` is a new answer and `(D ∪ μ(T), D_m) |= V`.
+/// One instance serves every disjunct and every chunk a thread runs.
+pub(crate) struct ExactSearch<'d> {
+    checker: CandidateChecker<'d>,
+    q_d: &'d BTreeSet<Tuple>,
+    found: Option<CounterExample>,
+}
+
+impl<'d> ExactSearch<'d> {
+    pub(crate) fn new(
+        setting: &'d Setting,
+        db: &'d Database,
+        mode: &'d CheckMode,
+        q_d: &'d BTreeSet<Tuple>,
+    ) -> Self {
+        ExactSearch {
+            checker: CandidateChecker::new(setting, db, mode),
+            q_d,
+            found: None,
+        }
+    }
+}
+
+impl Candidates for ExactSearch<'_> {
+    /// Prune: if the candidate output tuple is already answered, no
+    /// valuation with these head values is a counterexample.
+    fn head(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> bool {
+        !self.checker.answered(space, binding, self.q_d)
+    }
+
+    /// Prune subtrees whose already-instantiated tuples violate V:
+    /// constraint bodies are monotone, so the violation persists in every
+    /// completion.
+    fn partial(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> bool {
+        !self.checker.fill(space, binding) || self.checker.check().is_none()
+    }
+
+    fn leaf(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> ControlFlow<()> {
+        self.checker.fill(space, binding);
+        if self.checker.check().is_some() {
+            return ControlFlow::Continue(());
+        }
+        self.found = Some(self.checker.counterexample(space, binding));
+        ControlFlow::Break(())
+    }
+}
+
 /// Stable counter names for pruning attribution by containment-constraint
 /// index: `prune.cc.NN` counts candidate rejections whose first violated
 /// constraint was `V[NN]` (slot 15 absorbs larger sets).
-pub(crate) const PRUNE_CC: [&str; crate::par::CC_ATTR] = [
+pub(crate) const PRUNE_CC: [&str; CC_ATTR] = [
     "prune.cc.00",
     "prune.cc.01",
     "prune.cc.02",
@@ -182,16 +316,10 @@ pub(crate) const PRUNE_CC: [&str; crate::par::CC_ATTR] = [
 ];
 
 /// Emit nonzero `prune.cc.NN` attribution counters.
-pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; crate::par::CC_ATTR]) {
+pub(crate) fn emit_cc_attribution(probe: Probe<'_>, viol: &[u64; CC_ATTR]) {
     for (name, &v) in PRUNE_CC.iter().zip(viol) {
         probe.count(name, v);
     }
-}
-
-/// Bump the attribution slot for constraint index `i` (clamped).
-fn bump_viol(viol: &[Cell<u64>; crate::par::CC_ATTR], i: usize) {
-    let c = &viol[i.min(crate::par::CC_ATTR - 1)];
-    c.set(c.get() + 1);
 }
 
 /// Is the language exactly decidable by the Σᵖ₂ procedure?
@@ -440,13 +568,10 @@ pub(crate) fn rcdp_exact_reusing(
         );
     }
     let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
-    let cc_checks = Cell::new(0u64);
-    let cc_skipped = Cell::new(0u64);
-    let cc_viol: [Cell<u64>; crate::par::CC_ATTR] = Default::default();
     let probes_before = probe_count();
-    // Scratch delta reused across candidates: steady-state, a candidate
-    // costs index probes and a few inserts, never a clone of `db`.
-    let scratch = RefCell::new(Database::with_relations(setting.schema.len()));
+    // One search for every disjunct: steady-state, a candidate costs index
+    // probes and a few field writes, never an allocation.
+    let mut search = ExactSearch::new(setting, db, &mode, &q_d);
 
     let span = probe.span("rcdp.enumerate");
     let mut verdict = Verdict::Complete;
@@ -457,73 +582,11 @@ pub(crate) fn rcdp_exact_reusing(
             continue;
         }
         let space = ValuationSpace::new(t, &setting.schema, &adom);
-        let mut found: Option<CounterExample> = None;
-        let head_terms = t.head.clone();
-        let outcome = space.for_each_valid_pruned_probed(
-            probe,
-            &mut meter,
-            |binding| {
-                // Prune: if the candidate output tuple is already answered,
-                // no valuation with these head values is a counterexample.
-                let tuple = Tuple::new(head_terms.iter().map(|term| {
-                    match term {
-                        ric_query::Term::Var(v) => binding[v.idx()]
-                            .clone()
-                            .unwrap_or_else(|| unreachable!("head vars bound first")),
-                        ric_query::Term::Const(c) => c.clone(),
-                    }
-                }));
-                !q_d.contains(&tuple)
-            },
-            |binding| {
-                // Prune subtrees whose already-instantiated tuples violate V:
-                // constraint bodies are monotone, so the violation persists
-                // in every completion.
-                let bound = space.bound_atoms(binding);
-                if bound.is_empty() {
-                    return true;
-                }
-                let mut delta = scratch.borrow_mut();
-                delta.clear_tuples();
-                for (rel, tuple) in bound {
-                    delta.insert(rel, tuple);
-                }
-                // Upper bounds only: lower bounds hold on D and are
-                // preserved by extension (monotone bodies).
-                cc_checks.set(cc_checks.get() + 1);
-                match mode.upper_check(setting, db, &delta, &cc_skipped) {
-                    None => true,
-                    Some(i) => {
-                        bump_viol(&cc_viol, i);
-                        false
-                    }
-                }
-            },
-            |mu| {
-                let delta = mu.instantiate(t, setting.schema.len());
-                cc_checks.set(cc_checks.get() + 1);
-                let violated = mode.upper_check(setting, db, &delta, &cc_skipped);
-                if let Some(i) = violated {
-                    bump_viol(&cc_viol, i);
-                }
-                if violated.is_none() {
-                    let new_answer = mu.head_tuple(t);
-                    let added = delta
-                        .difference(db)
-                        .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                    found = Some(CounterExample {
-                        delta: added,
-                        new_answer,
-                    });
-                    return std::ops::ControlFlow::Break(());
-                }
-                std::ops::ControlFlow::Continue(())
-            },
-        );
+        let outcome = space.enumerate_probed(probe, &mut meter, &mut search);
         match outcome {
             EnumOutcome::Stopped => {
                 verdict =
-                    Verdict::Incomplete(found.unwrap_or_else(|| {
+                    Verdict::Incomplete(search.found.take().unwrap_or_else(|| {
                         unreachable!("found is set before the enumeration breaks")
                     }));
                 break;
@@ -554,13 +617,14 @@ pub(crate) fn rcdp_exact_reusing(
         }
     }
     drop(span);
+    let checker = &search.checker;
     probe.count("rcdp.valuations", meter.used());
-    probe.count("rcdp.cc_checks", cc_checks.get());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
+    probe.count("rcdp.cc_checks", checker.cc_checks);
+    probe.count("cc.skipped_by_delta", checker.cc_skipped);
     // Thread-local counter: exact for this decision even when concurrent
     // decisions probe on other threads.
     probe.count("index.probe", probe_count().saturating_sub(probes_before));
-    emit_cc_attribution(probe, &std::array::from_fn(|i| cc_viol[i].get()));
+    emit_cc_attribution(probe, &checker.cc_viol);
     emit_verdict(probe, &verdict);
     Ok(verdict)
 }
@@ -595,7 +659,6 @@ fn rcdp_exact_parallel(
         budget,
         guard,
         probe,
-        tableaux,
         q_d,
         mode,
         &spaces,
@@ -607,10 +670,7 @@ fn rcdp_exact_parallel(
 
 /// The domain-consistent valuation spaces plus the `(space index, split
 /// point)` chunk list derived from them.
-type ExactChunkLayout<'a> = (
-    Vec<(usize, ValuationSpace<'a>)>,
-    Vec<(usize, Option<(ric_data::Value, usize)>)>,
-);
+type ExactChunkLayout<'a> = (Vec<ValuationSpace<'a>>, Vec<(usize, Option<SplitPoint>)>);
 
 /// A resumable exact run's committed ledger: the number of frontier chunks
 /// already settled and the per-chunk stats backing the checkpoint.
@@ -629,14 +689,13 @@ fn exact_chunk_layout<'a>(
     setting: &'a Setting,
     adom: &'a Adom,
 ) -> ExactChunkLayout<'a> {
-    let spaces: Vec<(usize, ValuationSpace)> = tableaux
+    let spaces: Vec<ValuationSpace> = tableaux
         .iter()
-        .enumerate()
-        .filter(|(_, t)| t.domain_consistent(&setting.schema))
-        .map(|(i, t)| (i, ValuationSpace::new(t, &setting.schema, adom)))
+        .filter(|t| t.domain_consistent(&setting.schema))
+        .map(|t| ValuationSpace::new(t, &setting.schema, adom))
         .collect();
-    let mut chunks: Vec<(usize, Option<(ric_data::Value, usize)>)> = Vec::new();
-    for (si, (_, space)) in spaces.iter().enumerate() {
+    let mut chunks: Vec<(usize, Option<SplitPoint>)> = Vec::new();
+    for (si, space) in spaces.iter().enumerate() {
         match space.split_points() {
             Some(points) => chunks.extend(points.into_iter().map(|p| (si, Some(p)))),
             None => chunks.push((si, None)),
@@ -647,97 +706,22 @@ fn exact_chunk_layout<'a>(
 
 /// Enumerate one chunk of the exact search against `meter`, producing the
 /// chunk-pool result shape. Used verbatim by the parallel job (per-chunk
-/// meter slice) and the resumable sequential driver (one shared meter), so
-/// the per-chunk work — and therefore the committed checkpoint stats — are
-/// engine-independent.
-#[allow(clippy::too_many_arguments)]
+/// meter slice) and the resumable sequential driver (one shared meter and
+/// one search for every chunk), so the per-chunk work — and therefore the
+/// committed checkpoint stats — are engine-independent.
 fn run_exact_chunk(
-    setting: &Setting,
-    db: &Database,
-    mode: &CheckMode,
-    q_d: &BTreeSet<Tuple>,
-    t: &ric_query::tableau::Tableau,
+    search: &mut ExactSearch<'_>,
     space: &ValuationSpace<'_>,
-    point: Option<&(ric_data::Value, usize)>,
+    point: Option<SplitPoint>,
     meter: &mut Meter<'_>,
 ) -> crate::par::ChunkResult<CounterExample> {
-    use crate::par::{self, ChunkEvent, ChunkResult, ChunkStats};
+    use crate::par::{ChunkEvent, ChunkResult, ChunkStats};
     let used_before = meter.used();
     let probes_before = probe_count();
-    let cc_checks = Cell::new(0u64);
-    let cc_skipped = Cell::new(0u64);
-    let cc_viol: [Cell<u64>; par::CC_ATTR] = Default::default();
-    let profile = crate::valuations::DepthProfile::new();
-    let scratch = RefCell::new(Database::with_relations(setting.schema.len()));
-    let mut found: Option<CounterExample> = None;
-    let head_terms = &t.head;
-    let head_filter = |binding: &[Option<ric_data::Value>]| {
-        let tuple = Tuple::new(head_terms.iter().map(|term| {
-            match term {
-                ric_query::Term::Var(v) => binding[v.idx()]
-                    .clone()
-                    .unwrap_or_else(|| unreachable!("head vars bound first")),
-                ric_query::Term::Const(c) => c.clone(),
-            }
-        }));
-        !q_d.contains(&tuple)
-    };
-    let partial_filter = |binding: &[Option<ric_data::Value>]| {
-        let bound = space.bound_atoms(binding);
-        if bound.is_empty() {
-            return true;
-        }
-        let mut delta = scratch.borrow_mut();
-        delta.clear_tuples();
-        for (rel, tuple) in bound {
-            delta.insert(rel, tuple);
-        }
-        cc_checks.set(cc_checks.get() + 1);
-        match mode.upper_check(setting, db, &delta, &cc_skipped) {
-            None => true,
-            Some(i) => {
-                bump_viol(&cc_viol, i);
-                false
-            }
-        }
-    };
-    let visit = |mu: &ric_query::tableau::Valuation| {
-        let delta = mu.instantiate(t, setting.schema.len());
-        cc_checks.set(cc_checks.get() + 1);
-        let violated = mode.upper_check(setting, db, &delta, &cc_skipped);
-        if let Some(i) = violated {
-            bump_viol(&cc_viol, i);
-        }
-        if violated.is_none() {
-            let new_answer = mu.head_tuple(t);
-            let added = delta
-                .difference(db)
-                .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-            found = Some(CounterExample {
-                delta: added,
-                new_answer,
-            });
-            return std::ops::ControlFlow::Break(());
-        }
-        std::ops::ControlFlow::Continue(())
-    };
-    let outcome = match point {
-        Some(p) => space.for_each_valid_pruned_chunk_profiled(
-            &profile,
-            p.clone(),
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        ),
-        None => space.for_each_valid_pruned_profiled(
-            &profile,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        ),
-    };
+    let c = &search.checker;
+    let (checks_before, skipped_before, viol_before) = (c.cc_checks, c.cc_skipped, c.cc_viol);
+    let profile = DepthProfile::new();
+    let outcome = space.enumerate(&profile, point, meter, search);
     let event = match outcome {
         EnumOutcome::Stopped => ChunkEvent::Hit,
         EnumOutcome::Exhausted => ChunkEvent::Clear,
@@ -746,19 +730,20 @@ fn run_exact_chunk(
             None => ChunkEvent::Exhausted,
         },
     };
+    let c = &search.checker;
     ChunkResult {
         event,
-        value: found,
+        value: search.found.take(),
         stats: ChunkStats {
             ticks: meter.used() - used_before,
-            cc_checks: cc_checks.get(),
-            cc_skipped: cc_skipped.get(),
+            cc_checks: c.cc_checks - checks_before,
+            cc_skipped: c.cc_skipped - skipped_before,
             probes: probe_count().saturating_sub(probes_before),
             query_evals: 0,
             depth_candidates: profile.candidates(),
             depth_pruned: profile.pruned(),
             head_prunes: profile.head_prunes(),
-            cc_viol: std::array::from_fn(|i| cc_viol[i].get()),
+            cc_viol: std::array::from_fn(|i| c.cc_viol[i] - viol_before[i]),
         },
     }
 }
@@ -778,11 +763,10 @@ fn exact_chunks_sequential(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    tableaux: &[ric_query::tableau::Tableau],
     q_d: &BTreeSet<Tuple>,
     mode: &CheckMode,
-    spaces: &[(usize, ValuationSpace<'_>)],
-    chunks: &[(usize, Option<(ric_data::Value, usize)>)],
+    spaces: &[ValuationSpace<'_>],
+    chunks: &[(usize, Option<SplitPoint>)],
     committed: BTreeMap<usize, crate::par::ChunkStats>,
 ) -> (Verdict, Option<Vec<(usize, crate::par::ChunkStats)>>) {
     use crate::par::{ChunkEvent, ChunkStats};
@@ -801,23 +785,14 @@ fn exact_chunks_sequential(
     let mut frontier = None;
     let n_chunks = chunks.len();
 
+    let mut search = ExactSearch::new(setting, db, mode, q_d);
     let span = probe.span("rcdp.enumerate");
     let mut verdict = Verdict::Complete;
-    for (idx, (si, point)) in chunks.iter().enumerate() {
+    for (idx, &(si, point)) in chunks.iter().enumerate() {
         if committed.contains_key(&idx) {
             continue;
         }
-        let (ti, space) = &spaces[*si];
-        let result = run_exact_chunk(
-            setting,
-            db,
-            mode,
-            q_d,
-            &tableaux[*ti],
-            space,
-            point.as_ref(),
-            &mut meter,
-        );
+        let result = run_exact_chunk(&mut search, &spaces[si], point, &mut meter);
         totals.absorb(&result.stats);
         match result.event {
             ChunkEvent::Clear => ledger.push((idx, result.stats)),
@@ -887,11 +862,10 @@ fn exact_chunks_parallel(
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    tableaux: &[ric_query::tableau::Tableau],
     q_d: &BTreeSet<Tuple>,
     mode: &CheckMode,
-    spaces: &[(usize, ValuationSpace<'_>)],
-    chunks: &[(usize, Option<(ric_data::Value, usize)>)],
+    spaces: &[ValuationSpace<'_>],
+    chunks: &[(usize, Option<SplitPoint>)],
     committed: BTreeMap<usize, crate::par::ChunkStats>,
 ) -> (Verdict, Option<Vec<(usize, crate::par::ChunkStats)>>) {
     use crate::par::{self, ChunkEvent, ChunkResult, ChunkSlot, ChunkStats, PoolOutcome, PoolRun};
@@ -904,8 +878,7 @@ fn exact_chunks_parallel(
 
     let job = |pos: usize, wguard: &Guard| -> ChunkResult<CounterExample> {
         let idx = todo[pos];
-        let (si, point) = &chunks[idx];
-        let (ti, space) = &spaces[*si];
+        let (si, point) = chunks[idx];
         // The slice is computed from the *current* budget and the chunk's
         // canonical index: an uninterrupted run at this budget hands the
         // chunk exactly this slice, which is what the resume invariant pins.
@@ -914,16 +887,8 @@ fn exact_chunks_parallel(
             par::chunk_budget(total_valuations, n_chunks, idx),
             wguard,
         );
-        run_exact_chunk(
-            setting,
-            db,
-            mode,
-            q_d,
-            &tableaux[*ti],
-            space,
-            point.as_ref(),
-            &mut meter,
-        )
+        let mut search = ExactSearch::new(setting, db, mode, q_d);
+        run_exact_chunk(&mut search, &spaces[si], point, &mut meter)
     };
 
     let span = probe.span("rcdp.enumerate");
@@ -948,7 +913,7 @@ fn exact_chunks_parallel(
         }
         drop(span);
         return exact_chunks_sequential(
-            setting, db, budget, guard, probe, tableaux, q_d, mode, spaces, chunks, ledger,
+            setting, db, budget, guard, probe, q_d, mode, spaces, chunks, ledger,
         );
     }
 
@@ -1112,11 +1077,11 @@ pub(crate) fn rcdp_exact_resumed(
     };
     let (verdict, ledger) = if budget.engine.sharded() {
         exact_chunks_parallel(
-            setting, db, budget, guard, probe, &tableaux, &q_d, &mode, &spaces, &chunks, committed,
+            setting, db, budget, guard, probe, &q_d, &mode, &spaces, &chunks, committed,
         )
     } else {
         exact_chunks_sequential(
-            setting, db, budget, guard, probe, &tableaux, &q_d, &mode, &spaces, &chunks, committed,
+            setting, db, budget, guard, probe, &q_d, &mode, &spaces, &chunks, committed,
         )
     };
     Ok((verdict, ledger.map(|l| (n_chunks, l))))

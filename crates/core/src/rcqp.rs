@@ -39,11 +39,11 @@ use crate::budget::{Engine, Meter, MeterKind, SearchBudget};
 use crate::extend::{complete_extension_guarded, CompletionOutcome};
 use crate::guard::Guard;
 use crate::query::Query;
-use crate::rcdp::exactly_decidable;
+use crate::rcdp::{exactly_decidable, CandidateChecker, CheckMode};
 use crate::setting::Setting;
-use crate::valuations::{EnumOutcome, ValuationSpace};
+use crate::valuations::{Candidates, EnumOutcome, ValuationSpace};
 use crate::verdict::{BudgetLimit, QueryVerdict, RcError, SearchStats, Verdict};
-use ric_constraints::PreparedUpper;
+use ric_constraints::{PreparedInds, PreparedUpper};
 use ric_data::{index::probe_count, Database, Overlay, RelId, Tuple, Value};
 use ric_query::tableau::Tableau;
 use ric_query::Term;
@@ -361,6 +361,9 @@ fn rcqp_ind(
     let empty = Database::empty(&setting.schema);
     let adom = Adom::build(&empty, setting, query, n_fresh);
     probe.gauge("rcqp.adom_size", adom.len() as u64);
+    let inds = PreparedInds::new(&setting.v, &setting.dm)
+        .unwrap_or_else(|| unreachable!("rcqp_ind runs on IND sets only"));
+    let mode = CheckMode::IndOnly(inds);
     let mut meter = Meter::guarded(MeterKind::Valuations, budget.max_valuations, guard);
     let span = probe.span("rcqp.blockedness");
     for (ti, t) in tableaux.iter().enumerate() {
@@ -369,33 +372,12 @@ fn rcqp_ind(
         }
         // Is the disjunct blocked — no valid valuation with (μ(T), D_m) |= V?
         let space = ValuationSpace::new(t, &setting.schema, &adom);
-        let mut has_valid = false;
-        let outcome = space.for_each_valid_pruned_probed(
-            probe,
-            &mut meter,
-            |_| true,
-            |binding| {
-                // Partial pruning: a partially instantiated tableau that
-                // already escapes the master projections cannot become valid.
-                let bound = space.bound_atoms(binding);
-                if bound.is_empty() {
-                    return true;
-                }
-                let mut delta = Database::with_relations(setting.schema.len());
-                for (rel, tuple) in bound {
-                    delta.insert(rel, tuple);
-                }
-                setting
-                    .v
-                    .upper_satisfied(&delta, &setting.dm)
-                    .unwrap_or_else(|e| unreachable!("IND bodies never error: {e:?}"))
-            },
-            |_mu| {
-                // The partial filter already validated the full instantiation.
-                has_valid = true;
-                ControlFlow::Break(())
-            },
-        );
+        let mut search = Unblocked {
+            checker: CandidateChecker::new(setting, &empty, &mode),
+            found: false,
+        };
+        let outcome = space.enumerate_probed(probe, &mut meter, &mut search);
+        let has_valid = search.found;
         if outcome == EnumOutcome::BudgetExceeded {
             drop(span);
             probe.count("rcqp.valuations", meter.used());
@@ -443,6 +425,27 @@ fn rcqp_ind(
     )?;
     drop(greedy_span);
     Ok(QueryVerdict::Nonempty { witness })
+}
+
+/// The blockedness search of one IND disjunct: does some valid valuation
+/// `μ` have `(μ(T), D_m) |= V`?
+struct Unblocked<'d> {
+    checker: CandidateChecker<'d>,
+    found: bool,
+}
+
+impl Candidates for Unblocked<'_> {
+    /// Partial pruning: a partially instantiated tableau that already
+    /// escapes the master projections cannot become valid.
+    fn partial(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> bool {
+        !self.checker.fill(space, binding) || self.checker.check().is_none()
+    }
+
+    /// The partial filter already validated the full instantiation.
+    fn leaf(&mut self, _: &ValuationSpace<'_>, _: &[u32]) -> ControlFlow<()> {
+        self.found = true;
+        ControlFlow::Break(())
+    }
 }
 
 /// A candidate tuple for the `D_𝒱` search: an instantiation of one

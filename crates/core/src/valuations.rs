@@ -16,7 +16,7 @@
 
 use crate::adom::Adom;
 use crate::budget::Meter;
-use ric_data::{Schema, Value};
+use ric_data::{RelId, Schema, Value};
 use ric_query::tableau::{Tableau, Valuation};
 use ric_query::Term;
 use ric_telemetry::Probe;
@@ -154,161 +154,245 @@ pub enum EnumOutcome {
     BudgetExceeded,
 }
 
-/// Candidate values for one variable.
+/// Code of a variable that is not bound yet.
+pub const UNBOUND: u32 = u32::MAX;
+
+/// A tableau term encoded against a space's codes: a variable slot, or the
+/// code of a constant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Slot {
+    /// The variable with this index.
+    Var(u32),
+    /// The constant with this code.
+    Code(u32),
+}
+
+impl Slot {
+    /// The code this term takes under `binding` ([`UNBOUND`] for an unbound
+    /// variable).
+    #[inline]
+    pub fn code(self, binding: &[u32]) -> u32 {
+        match self {
+            Slot::Var(v) => binding[v as usize],
+            Slot::Code(c) => c,
+        }
+    }
+}
+
+/// A depth-0 candidate — the unit the parallel scheduler shards on — as its
+/// code and the fresh-pool usage after choosing it.
+pub type SplitPoint = (u32, usize);
+
+/// What the enumerator asks of its caller during a search. `binding[v]` is
+/// the code of variable `v`, or [`UNBOUND`]; [`ValuationSpace::value`]
+/// decodes a code.
+pub trait Candidates {
+    /// Called once all head variables are bound; `false` prunes the subtree.
+    fn head(&mut self, _space: &ValuationSpace<'_>, _binding: &[u32]) -> bool {
+        true
+    }
+
+    /// Called after every consistent binding step; `false` prunes the
+    /// subtree. Sound for any property that is *anti-monotone in the
+    /// instantiated tuples* — in particular "the tuples instantiated so far
+    /// do not yet violate `V`": constraint bodies are monotone, so a partial
+    /// violation persists in every completion (the pruning the Σᵖ₂
+    /// reduction instances of Theorem 3.6 rely on to stay tractable).
+    fn partial(&mut self, _space: &ValuationSpace<'_>, _binding: &[u32]) -> bool {
+        true
+    }
+
+    /// Called for each valid valuation; `Break` stops the run.
+    fn leaf(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> ControlFlow<()>;
+}
+
+/// A closure is a visitor of the valid valuations alone.
+impl<F: FnMut(&ValuationSpace<'_>, &[u32]) -> ControlFlow<()>> Candidates for F {
+    fn leaf(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> ControlFlow<()> {
+        self(space, binding)
+    }
+}
+
+/// Candidate codes for one variable.
 #[derive(Clone, Debug)]
 enum Cands {
-    /// A finite-domain variable: exactly these values.
-    Finite(Vec<Value>),
+    /// A finite-domain variable: exactly these codes.
+    Finite(Vec<u32>),
     /// An infinite-domain variable: the shared constants plus the
     /// (symmetry-broken) fresh pool.
     Infinite,
 }
 
 /// A prepared enumeration over the valid valuations of one tableau.
+///
+/// The search runs on dense `u32` codes: codes `0..c` are the Adom
+/// constants in order, `c..c + f` the fresh pool, and any further codes
+/// values only a finite domain or the tableau itself mentions. Equal values
+/// get equal codes, so the inequality checks compare integers, and a
+/// candidate step writes one `u32` — no value is cloned or dropped until a
+/// caller decodes one.
 pub struct ValuationSpace<'a> {
-    tableau: &'a Tableau,
     adom: &'a Adom,
+    /// Values beyond the Adom, coded from `adom.len()` up.
+    extra: Vec<Value>,
+    n_vars: usize,
     cands: Vec<Cands>,
     /// Variable assignment order; head variables first.
     order: Vec<u32>,
     /// How many leading entries of `order` are head variables.
     head_prefix: usize,
+    atoms: Vec<(RelId, Box<[Slot]>)>,
+    head: Box<[Slot]>,
+    neqs: Box<[(Slot, Slot)]>,
 }
 
 impl<'a> ValuationSpace<'a> {
     /// Prepare the space for `tableau` over `adom`, reading per-variable
     /// domains from `schema`.
-    pub fn new(tableau: &'a Tableau, schema: &Schema, adom: &'a Adom) -> Self {
-        let doms = tableau.var_domains(schema);
-        let cands = doms
+    pub fn new(tableau: &Tableau, schema: &Schema, adom: &'a Adom) -> Self {
+        let mut extra: Vec<Value> = Vec::new();
+        let mut encode = |v: &Value| -> u32 {
+            let code = match adom.constants.iter().position(|c| c == v) {
+                Some(i) => i,
+                None => match adom.fresh.iter().position(|c| c == v) {
+                    Some(i) => adom.constants.len() + i,
+                    None => {
+                        let i = extra.iter().position(|c| c == v).unwrap_or_else(|| {
+                            extra.push(v.clone());
+                            extra.len() - 1
+                        });
+                        adom.len() + i
+                    }
+                },
+            };
+            u32::try_from(code).unwrap_or_else(|_| unreachable!("domains fit u32 codes"))
+        };
+        let cands = tableau
+            .var_domains(schema)
             .into_iter()
             .map(|d| match d {
-                Some(set) => Cands::Finite(set.into_iter().collect()),
+                Some(set) => Cands::Finite(set.iter().map(&mut encode).collect()),
                 None => Cands::Infinite,
             })
             .collect();
+        let mut slot = |t: &Term| match t {
+            Term::Var(v) => Slot::Var(v.0),
+            Term::Const(c) => Slot::Code(encode(c)),
+        };
+        let atoms = tableau
+            .atoms
+            .iter()
+            .map(|a| (a.rel, a.args.iter().map(&mut slot).collect()))
+            .collect();
+        let head = tableau.head.iter().map(&mut slot).collect();
+        let neqs = tableau
+            .neqs
+            .iter()
+            .map(|(l, r)| (slot(l), slot(r)))
+            .collect();
         // Head variables first, then the rest in index order.
-        let head: BTreeSet<u32> = tableau.head_vars().iter().map(|v| v.0).collect();
-        let mut order: Vec<u32> = head.iter().copied().collect();
-        for v in 0..tableau.n_vars {
-            if !head.contains(&v) {
-                order.push(v);
-            }
-        }
-        let head_prefix = head.len();
+        let head_vars: BTreeSet<u32> = tableau.head_vars().iter().map(|v| v.0).collect();
+        let mut order: Vec<u32> = head_vars.iter().copied().collect();
+        order.extend((0..tableau.n_vars).filter(|v| !head_vars.contains(v)));
         ValuationSpace {
-            tableau,
             adom,
+            extra,
+            n_vars: tableau.n_vars as usize,
             cands,
             order,
-            head_prefix,
+            head_prefix: head_vars.len(),
+            atoms,
+            head,
+            neqs,
         }
     }
 
-    /// Number of variables.
-    pub fn n_vars(&self) -> usize {
-        self.tableau.n_vars as usize
+    /// The value behind a code.
+    #[inline]
+    pub fn value(&self, code: u32) -> &Value {
+        let c = code as usize;
+        let n_const = self.adom.constants.len();
+        if c < n_const {
+            &self.adom.constants[c]
+        } else if c < self.adom.len() {
+            &self.adom.fresh[c - n_const]
+        } else {
+            &self.extra[c - self.adom.len()]
+        }
     }
 
-    /// Enumerate valid valuations.
+    /// The value a term takes under `binding` (its variable must be bound).
+    #[inline]
+    pub fn slot_value(&self, slot: Slot, binding: &[u32]) -> &Value {
+        self.value(slot.code(binding))
+    }
+
+    /// The tableau atoms, encoded, in tableau order.
+    pub fn atoms(&self) -> &[(RelId, Box<[Slot]>)] {
+        &self.atoms
+    }
+
+    /// The summary (head) terms, encoded.
+    pub fn head(&self) -> &[Slot] {
+        &self.head
+    }
+
+    /// Decode a complete binding — the API edge (witnesses, tests).
+    pub fn valuation(&self, binding: &[u32]) -> Valuation {
+        Valuation(binding.iter().map(|&c| self.value(c).clone()).collect())
+    }
+
+    /// Enumerate the valid valuations, the whole space (`start: None`) or
+    /// the subtree of one depth-0 candidate returned by
+    /// [`Self::split_points`], accumulating per-depth statistics into
+    /// `profile`. `meter` ticks once per assignment tried; exhaustion
+    /// aborts. Inequalities are checked as soon as both sides are bound.
     ///
-    /// * `meter` — ticked once per assignment tried; exhaustion aborts.
-    /// * `head_filter` — called once all head variables are bound, with the
-    ///   partial binding; returning `false` prunes the subtree.
-    /// * `visit` — called for each valid valuation; `Break` stops the run.
-    pub fn for_each_valid(
-        &self,
-        meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        let mut no_prune = |_: &[Option<Value>]| true;
-        // Special case: no variables at all — one (empty) valuation.
-        self.rec(
-            0,
-            0,
-            &mut binding,
-            &DepthProfile::default(),
-            meter,
-            &mut head_filter,
-            &mut no_prune,
-            &mut visit,
-        )
-    }
-
-    /// Like [`Self::for_each_valid`], with an additional `partial_filter`
-    /// invoked after every consistent binding step; returning `false` prunes
-    /// the subtree. Sound for any property that is *anti-monotone in the
-    /// instantiated tuples* — in particular "the tuples instantiated so far
-    /// do not yet violate `V`": constraint bodies are monotone, so a partial
-    /// violation persists in every completion (the pruning the Σᵖ₂
-    /// reduction instances of Theorem 3.6 rely on to stay tractable).
-    pub fn for_each_valid_pruned(
-        &self,
-        meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        self.for_each_valid_pruned_profiled(
-            &DepthProfile::default(),
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        )
-    }
-
-    /// Like [`Self::for_each_valid_pruned`], accumulating per-depth search
-    /// statistics into `profile` (the parallel engine's chunk jobs hand the
-    /// profile back through their chunk stats; the sequential probed path
-    /// emits it directly).
-    pub fn for_each_valid_pruned_profiled(
+    /// A chunk ticks once for its candidate and once per deeper assignment,
+    /// so the chunks' ticks sum to the whole run's, and concatenating the
+    /// chunks in `split_points` order visits valuations in exactly the
+    /// whole run's order. The per-chunk profiles sum to the whole run's,
+    /// with one deliberate exception: with no head variables each chunk
+    /// re-checks the head filter (sound: it is pure in the all-unbound
+    /// binding) without counting a head prune, so such a prune at depth 0
+    /// is attributed once by the whole run and not at all by the chunks.
+    pub fn enumerate<C: Candidates>(
         &self,
         profile: &DepthProfile,
+        start: Option<SplitPoint>,
         meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
+        c: &mut C,
     ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        self.rec(
-            0,
-            0,
-            &mut binding,
-            profile,
-            meter,
-            &mut head_filter,
-            &mut partial_filter,
-            &mut visit,
-        )
+        let mut binding = vec![UNBOUND; self.n_vars];
+        match start {
+            None => self.rec(0, 0, &mut binding, profile, meter, c),
+            Some((code, next_fresh)) => {
+                if self.head_prefix == 0 && !c.head(self, &binding) {
+                    return EnumOutcome::Exhausted;
+                }
+                let var = self.order[0] as usize;
+                self.assign(0, var, code, next_fresh, &mut binding, profile, meter, c)
+            }
+        }
     }
 
-    /// Like [`Self::for_each_valid_pruned`], reporting the run to `probe`:
-    /// the assignments tried (metered ticks) as `valuations.assignments`, the
-    /// wall time as the `valuations.enumerate` span, per-depth candidate and
-    /// prune counters under the [`DEPTH_CANDIDATES`] / [`DEPTH_PRUNED`]
-    /// families, head-filter prunes as `prune.head`, and the deepest depth
-    /// reached as the `valuations.max_depth` gauge.
-    pub fn for_each_valid_pruned_probed(
+    /// [`Self::enumerate`] over the whole space, reporting the run to
+    /// `probe`: the assignments tried (metered ticks) as
+    /// `valuations.assignments`, the wall time as the `valuations.enumerate`
+    /// span, per-depth candidate and prune counters under the
+    /// [`DEPTH_CANDIDATES`] / [`DEPTH_PRUNED`] families, head-filter prunes
+    /// as `prune.head`, and the deepest depth reached as the
+    /// `valuations.max_depth` gauge.
+    pub fn enumerate_probed<C: Candidates>(
         &self,
         probe: Probe<'_>,
         meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
+        c: &mut C,
     ) -> EnumOutcome {
         let before = meter.used();
         let profile = DepthProfile::default();
         let span = probe.span("valuations.enumerate");
-        let outcome = self.for_each_valid_pruned_profiled(
-            &profile,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        );
+        let outcome = self.enumerate(&profile, None, meter, c);
         drop(span);
         probe.count("valuations.assignments", meter.used() - before);
         emit_profile(
@@ -324,214 +408,120 @@ impl<'a> ValuationSpace<'a> {
     }
 
     /// The depth-0 candidates of this space — the chunk boundaries the
-    /// parallel scheduler shards on — paired with the fresh-pool usage after
-    /// choosing each. Replicates exactly the candidate list `Self::rec`
-    /// builds at depth 0 (constants first, then the single symmetry-broken
-    /// fresh representative), so concatenating the per-candidate subtrees in
-    /// this order reproduces the sequential enumeration. `None` when the
-    /// space has no variables: the single empty valuation is unsplittable.
-    pub fn split_points(&self) -> Option<Vec<(Value, usize)>> {
+    /// parallel scheduler shards on — in the order the whole run tries them
+    /// (constants first, then the single symmetry-broken fresh
+    /// representative). `None` when the space has no variables: the single
+    /// empty valuation is unsplittable.
+    pub fn split_points(&self) -> Option<Vec<SplitPoint>> {
         let var = *self.order.first()? as usize;
         Some(match &self.cands[var] {
-            Cands::Finite(vals) => vals.iter().map(|v| (v.clone(), 0)).collect(),
+            Cands::Finite(codes) => codes.iter().map(|&c| (c, 0)).collect(),
             Cands::Infinite => {
-                let mut out: Vec<(Value, usize)> =
-                    self.adom.constants.iter().map(|v| (v.clone(), 0)).collect();
+                let n_const = self.adom.constants.len() as u32;
+                let mut out: Vec<SplitPoint> = (0..n_const).map(|c| (c, 0)).collect();
                 // At depth 0 no fresh value is in use yet, so the symmetry
                 // break admits exactly the first pool value.
-                if let Some(v) = self.adom.fresh.first() {
-                    out.push((v.clone(), 1));
+                if !self.adom.fresh.is_empty() {
+                    out.push((n_const, 1));
                 }
                 out
             }
         })
     }
 
-    /// Enumerate the subtree of exactly one depth-0 candidate, as returned by
-    /// [`Self::split_points`]. Semantics match [`Self::for_each_valid_pruned`]
-    /// restricted to `order[0] = value`: the meter ticks once for the
-    /// candidate itself and once per deeper assignment, so summing the ticks
-    /// of every chunk equals the sequential run's tick count, and
-    /// concatenating the chunks in `split_points` order visits valuations in
-    /// exactly the sequential order.
-    pub fn for_each_valid_pruned_chunk(
-        &self,
-        point: (Value, usize),
-        meter: &mut Meter<'_>,
-        head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        self.for_each_valid_pruned_chunk_profiled(
-            &DepthProfile::default(),
-            point,
-            meter,
-            head_filter,
-            partial_filter,
-            visit,
-        )
-    }
-
-    /// [`Self::for_each_valid_pruned_chunk`] with per-depth profiling. The
-    /// per-chunk profiles sum to the sequential run's profile, with one
-    /// deliberate exception: the zero-head-variable re-check of the head
-    /// filter (see above) is not counted as a head prune, so a head prune at
-    /// depth 0 of a headless space is attributed once by the sequential
-    /// engine and not at all by the chunked one.
-    pub fn for_each_valid_pruned_chunk_profiled(
-        &self,
-        profile: &DepthProfile,
-        (value, next_fresh): (Value, usize),
-        meter: &mut Meter<'_>,
-        mut head_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut partial_filter: impl FnMut(&[Option<Value>]) -> bool,
-        mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-    ) -> EnumOutcome {
-        let mut binding: Vec<Option<Value>> = vec![None; self.n_vars()];
-        // Mirror one iteration of `rec` at depth 0. With no head variables
-        // the head filter fires before the candidate loop; each chunk
-        // re-checks it, which is sound because the filter is pure in the
-        // (all-unbound) binding.
-        if self.head_prefix == 0 && !head_filter(&binding) {
-            return EnumOutcome::Exhausted;
-        }
-        if !meter.tick() {
-            return EnumOutcome::BudgetExceeded;
-        }
-        profile.candidate(0);
-        let var = self.order[0] as usize;
-        binding[var] = Some(value);
-        if self.neqs_consistent(&binding) && partial_filter(&binding) {
-            self.rec(
-                1,
-                next_fresh,
-                &mut binding,
-                profile,
-                meter,
-                &mut head_filter,
-                &mut partial_filter,
-                &mut visit,
-            )
-        } else {
-            profile.prune(0);
-            EnumOutcome::Exhausted
-        }
-    }
-
-    /// The tuples of `μ(T_Q)` whose atoms are fully bound under a partial
-    /// binding (constants-only atoms always qualify).
-    pub fn bound_atoms(
-        &self,
-        binding: &[Option<Value>],
-    ) -> Vec<(ric_data::RelId, ric_data::Tuple)> {
-        let mut out = Vec::new();
-        'atoms: for atom in &self.tableau.atoms {
-            let mut fields = Vec::with_capacity(atom.args.len());
-            for t in &atom.args {
-                match term_val(t, binding) {
-                    Some(v) => fields.push(v.clone()),
-                    None => continue 'atoms,
-                }
-            }
-            out.push((atom.rel, ric_data::Tuple::new(fields)));
-        }
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
+    fn rec<C: Candidates>(
         &self,
         depth: usize,
         fresh_used: usize,
-        binding: &mut Vec<Option<Value>>,
+        binding: &mut [u32],
         profile: &DepthProfile,
         meter: &mut Meter<'_>,
-        head_filter: &mut dyn FnMut(&[Option<Value>]) -> bool,
-        partial_filter: &mut dyn FnMut(&[Option<Value>]) -> bool,
-        visit: &mut dyn FnMut(&Valuation) -> ControlFlow<()>,
+        c: &mut C,
     ) -> EnumOutcome {
-        if depth == self.head_prefix && !head_filter(binding) {
+        if depth == self.head_prefix && !c.head(self, binding) {
             profile.head_prune();
             return EnumOutcome::Exhausted; // pruned subtree, not a stop
         }
         if depth == self.order.len() {
-            let mu = Valuation(
-                binding
-                    .iter()
-                    .map(|b| {
-                        b.clone()
-                            .unwrap_or_else(|| unreachable!("all variables bound at full depth"))
-                    })
-                    .collect(),
-            );
-            return match visit(&mu) {
+            return match c.leaf(self, binding) {
                 ControlFlow::Continue(()) => EnumOutcome::Exhausted,
                 ControlFlow::Break(()) => EnumOutcome::Stopped,
             };
         }
         let var = self.order[depth] as usize;
-        // Candidates paired with the fresh-pool usage after choosing them.
-        let candidates: Vec<(Value, usize)> = match &self.cands[var] {
-            Cands::Finite(vals) => vals.iter().map(|v| (v.clone(), fresh_used)).collect(),
+        let mut try_code = |code: u32, next_fresh: usize, binding: &mut [u32]| {
+            self.assign(depth, var, code, next_fresh, binding, profile, meter, c)
+        };
+        match &self.cands[var] {
+            Cands::Finite(codes) => {
+                for &code in codes {
+                    match try_code(code, fresh_used, binding) {
+                        EnumOutcome::Exhausted => {}
+                        other => return other,
+                    }
+                }
+            }
             Cands::Infinite => {
-                let mut out: Vec<(Value, usize)> = self
-                    .adom
-                    .constants
-                    .iter()
-                    .map(|v| (v.clone(), fresh_used))
-                    .collect();
-                // Symmetry-broken fresh pool: reuse any fresh value already in
-                // use, or introduce exactly the next unused one.
+                let n_const = self.adom.constants.len();
+                for code in 0..n_const {
+                    match try_code(code as u32, fresh_used, binding) {
+                        EnumOutcome::Exhausted => {}
+                        other => return other,
+                    }
+                }
+                // Symmetry-broken fresh pool: reuse any fresh value already
+                // in use, or introduce exactly the next unused one.
                 let limit = (fresh_used + 1).min(self.adom.fresh.len());
-                for (i, v) in self.adom.fresh[..limit].iter().enumerate() {
+                for i in 0..limit {
                     let next = if i == fresh_used {
                         fresh_used + 1
                     } else {
                         fresh_used
                     };
-                    out.push((v.clone(), next));
+                    match try_code((n_const + i) as u32, next, binding) {
+                        EnumOutcome::Exhausted => {}
+                        other => return other,
+                    }
                 }
-                out
-            }
-        };
-        for (value, next_fresh) in candidates {
-            if !meter.tick() {
-                return EnumOutcome::BudgetExceeded;
-            }
-            profile.candidate(depth);
-            binding[var] = Some(value);
-            let outcome = if self.neqs_consistent(binding) && partial_filter(binding) {
-                self.rec(
-                    depth + 1,
-                    next_fresh,
-                    binding,
-                    profile,
-                    meter,
-                    head_filter,
-                    partial_filter,
-                    visit,
-                )
-            } else {
-                profile.prune(depth);
-                EnumOutcome::Exhausted
-            };
-            binding[var] = None;
-            match outcome {
-                EnumOutcome::Exhausted => {}
-                other => return other,
             }
         }
         EnumOutcome::Exhausted
     }
 
+    /// Try `var = code` at `depth`: tick, profile, check, recurse, unbind.
+    #[allow(clippy::too_many_arguments)]
+    fn assign<C: Candidates>(
+        &self,
+        depth: usize,
+        var: usize,
+        code: u32,
+        next_fresh: usize,
+        binding: &mut [u32],
+        profile: &DepthProfile,
+        meter: &mut Meter<'_>,
+        c: &mut C,
+    ) -> EnumOutcome {
+        if !meter.tick() {
+            return EnumOutcome::BudgetExceeded;
+        }
+        profile.candidate(depth);
+        binding[var] = code;
+        let outcome = if self.neqs_consistent(binding) && c.partial(self, binding) {
+            self.rec(depth + 1, next_fresh, binding, profile, meter, c)
+        } else {
+            profile.prune(depth);
+            EnumOutcome::Exhausted
+        };
+        binding[var] = UNBOUND;
+        outcome
+    }
+
     /// Are the tableau inequalities consistent with the partial binding?
-    fn neqs_consistent(&self, binding: &[Option<Value>]) -> bool {
-        self.tableau.neqs.iter().all(
-            |(l, r)| match (term_val(l, binding), term_val(r, binding)) {
-                (Some(a), Some(b)) => a != b,
-                _ => true,
-            },
-        )
+    fn neqs_consistent(&self, binding: &[u32]) -> bool {
+        self.neqs.iter().all(|&(l, r)| {
+            let (a, b) = (l.code(binding), r.code(binding));
+            a == UNBOUND || b == UNBOUND || a != b
+        })
     }
 }
 
@@ -557,13 +547,6 @@ pub fn materialize(
         .collect()
 }
 
-fn term_val<'b>(t: &'b Term, binding: &'b [Option<Value>]) -> Option<&'b Value> {
-    match t {
-        Term::Const(c) => Some(c),
-        Term::Var(v) => binding[v.idx()].as_ref(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +559,31 @@ mod tests {
             vec![Attribute::boolean("x"), Attribute::new("y")],
         )])
         .unwrap()
+    }
+
+    /// Visit every valid valuation with a pruning head filter.
+    struct HeadFiltered<H, V>(H, V);
+
+    impl<H, V> Candidates for HeadFiltered<H, V>
+    where
+        H: FnMut(&[u32]) -> bool,
+        V: FnMut(&ValuationSpace<'_>, &[u32]) -> ControlFlow<()>,
+    {
+        fn head(&mut self, _: &ValuationSpace<'_>, binding: &[u32]) -> bool {
+            (self.0)(binding)
+        }
+
+        fn leaf(&mut self, space: &ValuationSpace<'_>, binding: &[u32]) -> ControlFlow<()> {
+            (self.1)(space, binding)
+        }
+    }
+
+    fn run(
+        space: &ValuationSpace<'_>,
+        meter: &mut Meter<'_>,
+        mut visit: impl FnMut(&ValuationSpace<'_>, &[u32]) -> ControlFlow<()>,
+    ) -> EnumOutcome {
+        space.enumerate(&DepthProfile::new(), None, meter, &mut visit)
     }
 
     fn adom_for(schema: &Schema, q: &Cq, n_fresh: usize) -> Adom {
@@ -593,14 +601,10 @@ mod tests {
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut seen = Vec::new();
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(
-            &mut meter,
-            |_| true,
-            |mu| {
-                seen.push(mu.clone());
-                ControlFlow::Continue(())
-            },
-        );
+        let out = run(&space, &mut meter, |space, b| {
+            seen.push(space.valuation(b));
+            ControlFlow::Continue(())
+        });
         assert_eq!(out, EnumOutcome::Exhausted);
         // X ∈ {0,1}; Y infinite: constants ∅ (no db constants) + fresh pool
         // symmetry-broken to exactly 1 representative.
@@ -616,14 +620,10 @@ mod tests {
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut count = 0;
         let mut meter = Meter::new(1_000_000);
-        space.for_each_valid(
-            &mut meter,
-            |_| true,
-            |_| {
-                count += 1;
-                ControlFlow::Continue(())
-            },
-        );
+        run(&space, &mut meter, |_, _| {
+            count += 1;
+            ControlFlow::Continue(())
+        });
         // With no constants, the only canonical valuation is
         // (fresh0, fresh1): fresh0=fresh1 violates X≠Y, permutations are
         // broken, and fresh2 can never be introduced before fresh1.
@@ -639,14 +639,14 @@ mod tests {
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut visited = 0;
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(
-            &mut meter,
-            |_| false, // prune everything
-            |_| {
+        let mut prune_all = HeadFiltered(
+            |_: &[u32]| false, // prune everything
+            |_: &ValuationSpace<'_>, _: &[u32]| {
                 visited += 1;
                 ControlFlow::Continue(())
             },
         );
+        let out = space.enumerate(&DepthProfile::new(), None, &mut meter, &mut prune_all);
         assert_eq!(out, EnumOutcome::Exhausted);
         assert_eq!(visited, 0);
     }
@@ -659,7 +659,7 @@ mod tests {
         let adom = adom_for(&s, &q, 3);
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut meter = Meter::new(1);
-        let out = space.for_each_valid(&mut meter, |_| true, |_| ControlFlow::Continue(()));
+        let out = run(&space, &mut meter, |_, _| ControlFlow::Continue(()));
         assert_eq!(out, EnumOutcome::BudgetExceeded);
     }
 
@@ -671,7 +671,7 @@ mod tests {
         let adom = adom_for(&s, &q, 3);
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut meter = Meter::new(1_000_000);
-        let out = space.for_each_valid(&mut meter, |_| true, |_| ControlFlow::Break(()));
+        let out = run(&space, &mut meter, |_, _| ControlFlow::Break(()));
         assert_eq!(out, EnumOutcome::Stopped);
     }
 
@@ -689,15 +689,10 @@ mod tests {
 
         let mut sequential = Vec::new();
         let mut seq_meter = Meter::new(1_000_000);
-        let out = space.for_each_valid_pruned(
-            &mut seq_meter,
-            |_| true,
-            |_| true,
-            |mu| {
-                sequential.push(mu.clone());
-                ControlFlow::Continue(())
-            },
-        );
+        let out = run(&space, &mut seq_meter, |space, b| {
+            sequential.push(space.valuation(b));
+            ControlFlow::Continue(())
+        });
         assert_eq!(out, EnumOutcome::Exhausted);
         assert!(!sequential.is_empty());
 
@@ -707,16 +702,11 @@ mod tests {
         assert!(points.len() > 1, "multiple chunks exercise the split");
         for point in points {
             let mut meter = Meter::new(1_000_000);
-            let out = space.for_each_valid_pruned_chunk(
-                point,
-                &mut meter,
-                |_| true,
-                |_| true,
-                |mu| {
-                    chunked.push(mu.clone());
-                    ControlFlow::Continue(())
-                },
-            );
+            let mut visit = |space: &ValuationSpace<'_>, b: &[u32]| {
+                chunked.push(space.valuation(b));
+                ControlFlow::Continue(())
+            };
+            let out = space.enumerate(&DepthProfile::new(), Some(point), &mut meter, &mut visit);
             assert_eq!(out, EnumOutcome::Exhausted);
             chunk_ticks += meter.used();
         }
@@ -733,15 +723,11 @@ mod tests {
         let space = ValuationSpace::new(&t, &s, &adom);
         let mut seen = 0;
         let mut meter = Meter::new(10);
-        let out = space.for_each_valid(
-            &mut meter,
-            |_| true,
-            |mu| {
-                assert!(mu.0.is_empty());
-                seen += 1;
-                ControlFlow::Continue(())
-            },
-        );
+        let out = run(&space, &mut meter, |_, b| {
+            assert!(b.is_empty());
+            seen += 1;
+            ControlFlow::Continue(())
+        });
         assert_eq!(out, EnumOutcome::Exhausted);
         assert_eq!(seen, 1);
     }

@@ -49,6 +49,16 @@ impl Tuple {
     }
 }
 
+/// Lets ordered and hashed tuple sets answer lookups on a borrowed
+/// `&[Value]` key, so a caller can probe with a reused field buffer instead of
+/// boxing a fresh `Tuple` per lookup. Sound because `Tuple`'s derived `Eq`,
+/// `Ord` and `Hash` are exactly those of its field slice.
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl<const N: usize> From<[Value; N]> for Tuple {
     fn from(vs: [Value; N]) -> Self {
         Tuple::new(vs)

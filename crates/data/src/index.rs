@@ -18,6 +18,7 @@ use crate::database::Tuple;
 use crate::value::Value;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 thread_local! {
     static PROBES: Cell<u64> = const { Cell::new(0) };
@@ -30,7 +31,68 @@ pub fn probe_count() -> u64 {
     PROBES.with(Cell::get)
 }
 
+/// Count one probe served without an index (a filtered scan of a delta
+/// small enough not to be worth indexing), so `index.probe` stays the number
+/// of keyed lookups whatever access path answered them.
+pub fn count_probe() {
+    PROBES.with(|p| p.set(p.get() + 1));
+}
+
 const NO_MATCHES: &[u32] = &[];
+
+/// A multiply-rotate hasher (the Fx hash of rustc) for the column maps.
+/// Probe keys are short constants hashed on every probe, where SipHash's
+/// per-call setup dominates; the maps only serve point lookups, so the
+/// weaker mixing costs nothing observable, and it is deterministic.
+#[derive(Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().unwrap_or([0; 8])));
+        }
+        let mut tail = [0u8; 8];
+        let rest = chunks.remainder();
+        tail[..rest.len()].copy_from_slice(rest);
+        self.add(u64::from_le_bytes(tail) ^ rest.len() as u64);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_i64(&mut self, i: i64) {
+        self.add(i as u64);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type ColumnMap = HashMap<Value, Vec<u32>, BuildHasherDefault<FxHasher>>;
 
 /// A per-column hash index over a snapshot of one instance's tuples.
 #[derive(Debug, Default)]
@@ -39,7 +101,7 @@ pub struct ColumnIndex {
     /// `by_col[c][v]` — snapshot positions of tuples with value `v` in column
     /// `c`, in snapshot (i.e. instance iteration) order. Tuples of arity
     /// `≤ c` simply do not appear in `by_col[c]`.
-    by_col: Vec<HashMap<Value, Vec<u32>>>,
+    by_col: Vec<ColumnMap>,
 }
 
 impl ColumnIndex {
@@ -47,7 +109,7 @@ impl ColumnIndex {
     pub(crate) fn build<'a>(tuples: impl Iterator<Item = &'a Tuple>) -> Self {
         let tuples: Vec<Tuple> = tuples.cloned().collect();
         let max_arity = tuples.iter().map(Tuple::arity).max().unwrap_or(0);
-        let mut by_col: Vec<HashMap<Value, Vec<u32>>> = vec![HashMap::new(); max_arity];
+        let mut by_col: Vec<ColumnMap> = vec![ColumnMap::default(); max_arity];
         for (id, t) in tuples.iter().enumerate() {
             for (col, v) in t.iter().enumerate() {
                 by_col[col].entry(v.clone()).or_default().push(id as u32);
@@ -60,7 +122,7 @@ impl ColumnIndex {
     /// order. Empty when the column exceeds every arity or the value is
     /// absent. Each call counts one probe.
     pub fn probe(&self, col: usize, v: &Value) -> &[u32] {
-        PROBES.with(|p| p.set(p.get() + 1));
+        count_probe();
         match self.by_col.get(col).and_then(|m| m.get(v)) {
             Some(ids) => ids,
             None => NO_MATCHES,
@@ -91,7 +153,7 @@ impl ColumnIndex {
     /// every tuple's arity). Reading a statistic is not a probe and is not
     /// counted as one.
     pub fn distinct(&self, col: usize) -> usize {
-        self.by_col.get(col).map(HashMap::len).unwrap_or(0)
+        self.by_col.get(col).map(ColumnMap::len).unwrap_or(0)
     }
 
     /// Is the snapshot empty?

@@ -20,6 +20,7 @@
 //! deciders reproducible), and values intern small integers without heap use.
 
 pub mod database;
+pub mod delta;
 pub mod error;
 pub mod fresh;
 pub mod index;
@@ -32,6 +33,7 @@ pub mod store;
 pub mod value;
 
 pub use database::{Database, Instance, Tuple};
+pub use delta::DeltaBuf;
 pub use error::DataError;
 pub use fresh::FreshValues;
 pub use index::ColumnIndex;

@@ -10,6 +10,9 @@
 //! A delta tuple already present in the base is *not novel*: it changes
 //! nothing about the union. The novel tuples are what incremental constraint
 //! checking (`ric-constraints`'s delta mode) evaluates against.
+//! [`Overlay::over_buf`] takes the delta as a reusable
+//! [`DeltaBuf`] — the deciders' per-candidate form — and
+//! marks each tuple's novelty once, when the view is built.
 //!
 //! [`Overlay::with_deletes`] adds a third side of *tombstones*: base tuples
 //! listed there are treated as absent, so the effective view is
@@ -30,16 +33,25 @@
 //!   index hit against the tombstones (see `store.rs`).
 
 use crate::database::{Database, Tuple};
+use crate::delta::DeltaBuf;
 use crate::error::DataError;
 use crate::schema::RelId;
 use crate::value::Value;
 use std::collections::BTreeSet;
 
+/// The delta side of an overlay: a plain database, or a candidate
+/// [`DeltaBuf`] whose novelty was marked when the overlay was built.
+#[derive(Clone, Copy, Debug)]
+enum Side<'a> {
+    Db(&'a Database),
+    Buf(&'a DeltaBuf),
+}
+
 /// A borrowed view of `(base ∖ deletes) ∪ delta`.
 #[derive(Clone, Copy, Debug)]
 pub struct Overlay<'a> {
     base: &'a Database,
-    delta: &'a Database,
+    delta: Side<'a>,
     deletes: Option<&'a Database>,
 }
 
@@ -52,7 +64,26 @@ impl<'a> Overlay<'a> {
         }
         Ok(Overlay {
             base,
-            delta,
+            delta: Side::Db(delta),
+            deletes: None,
+        })
+    }
+
+    /// View `base ∪ delta` for a candidate buffer, marking once which of its
+    /// tuples are novel (absent from the base), so the scans, probes and
+    /// novelty queries below never look them up in the base again. Errors
+    /// when the two sides disagree on the number of relations.
+    pub fn over_buf(base: &'a Database, delta: &'a mut DeltaBuf) -> Result<Self, DataError> {
+        if base.len() != delta.rel_count() {
+            return Err(DataError::SchemaMismatch);
+        }
+        let mut flags = std::mem::take(&mut delta.novel);
+        flags.clear();
+        flags.extend(delta.iter().map(|(rel, t)| !base.instance(rel).contains(t)));
+        delta.novel = flags;
+        Ok(Overlay {
+            base,
+            delta: Side::Buf(delta),
             deletes: None,
         })
     }
@@ -71,7 +102,7 @@ impl<'a> Overlay<'a> {
         }
         Ok(Overlay {
             base,
-            delta,
+            delta: Side::Db(delta),
             deletes: Some(deletes),
         })
     }
@@ -79,11 +110,6 @@ impl<'a> Overlay<'a> {
     /// The base database `D`.
     pub fn base(&self) -> &'a Database {
         self.base
-    }
-
-    /// The delta database `Δ` (possibly overlapping the base).
-    pub fn delta(&self) -> &'a Database {
-        self.delta
     }
 
     /// The tombstoned tuples `Δ⁻`, when this overlay carries a deletes side.
@@ -102,9 +128,18 @@ impl<'a> Overlay<'a> {
             && !self.deletes.is_some_and(|d| d.instance(rel).contains(t))
     }
 
+    /// Is `t`, a tuple of the base, live? Free without a deletes side.
+    pub(crate) fn base_tuple_live(&self, rel: RelId, t: &Tuple) -> bool {
+        !self.deletes.is_some_and(|d| d.instance(rel).contains(t))
+    }
+
     /// Effective-view membership.
     pub fn contains(&self, rel: RelId, t: &Tuple) -> bool {
-        self.in_live_base(rel, t) || self.delta.instance(rel).contains(t)
+        self.in_live_base(rel, t)
+            || match self.delta {
+                Side::Db(d) => d.instance(rel).contains(t),
+                Side::Buf(b) => b.contains(rel, t),
+            }
     }
 
     /// Effective-view cardinality of one relation (novel delta tuples
@@ -119,34 +154,70 @@ impl<'a> Overlay<'a> {
                 .filter(|t| self.in_live_base(rel, t))
                 .count(),
         };
-        live_base
-            + self
-                .delta
-                .instance(rel)
-                .iter()
-                .filter(|t| !self.in_live_base(rel, t))
-                .count()
+        let mut novel = 0;
+        self.for_each_novel(rel, &mut |_| {
+            novel += 1;
+            true
+        });
+        live_base + novel
     }
 
-    /// Relations with at least one *novel* delta tuple (a tuple of `Δ` not
-    /// already live in the base).
+    /// Does `rel` have at least one *novel* delta tuple (a tuple of `Δ` not
+    /// already live in the base)?
+    pub fn has_novel(&self, rel: RelId) -> bool {
+        !self.for_each_novel(rel, &mut |_| false)
+    }
+
+    /// Relations with at least one novel delta tuple.
     pub fn novel_rels(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.delta.iter().filter_map(|(rel, inst)| {
-            inst.iter()
-                .any(|t| !self.in_live_base(rel, t))
-                .then_some(rel)
-        })
+        (0..self.rel_count())
+            .map(RelId)
+            .filter(|&rel| self.has_novel(rel))
     }
 
-    /// Visit the novel delta tuples of `rel`; stop early when `f` returns
-    /// `false`. Returns `false` iff stopped early.
-    pub fn for_each_novel(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
-        for t in self.delta.instance(rel).iter() {
-            if !self.in_live_base(rel, t) && !f(t) {
-                return false;
+    /// Visit the novel delta tuples of `rel` in order; stop early when `f`
+    /// returns `false`. Returns `false` iff stopped early.
+    pub fn for_each_novel(&self, rel: RelId, f: &mut dyn FnMut(&'a Tuple) -> bool) -> bool {
+        match self.delta {
+            Side::Db(d) => {
+                for t in d.instance(rel).iter() {
+                    if !self.in_live_base(rel, t) && !f(t) {
+                        return false;
+                    }
+                }
+            }
+            Side::Buf(b) => {
+                for (i, t) in b.rel_entries(rel) {
+                    if b.novel[i] && !f(t) {
+                        return false;
+                    }
+                }
             }
         }
         true
+    }
+
+    /// Every delta tuple, novel or not, in `(relation, tuple)` order.
+    fn for_each_delta(&self, f: &mut dyn FnMut(RelId, &'a Tuple)) {
+        match self.delta {
+            Side::Db(d) => {
+                for (rel, inst) in d.iter() {
+                    inst.iter().for_each(|t| f(rel, t));
+                }
+            }
+            Side::Buf(b) => b.iter().for_each(|(rel, t)| f(rel, t)),
+        }
+    }
+
+    /// The delta's tuples of `rel` as an owned instance (statistics only).
+    pub(crate) fn delta_instance(&self, rel: RelId) -> crate::database::Instance {
+        let mut out = crate::database::Instance::new();
+        self.for_each_delta(&mut |r, t| {
+            if r == rel {
+                out.insert(t.clone());
+            }
+        });
+        out
     }
 
     /// Collect the effective view's active domain into `out`.
@@ -168,29 +239,23 @@ impl<'a> Overlay<'a> {
                 }
             }
         }
-        for (_, inst) in self.delta.iter() {
-            for t in inst.iter() {
-                for v in t.iter() {
-                    out.insert(v.clone());
-                }
-            }
-        }
+        self.for_each_delta(&mut |_, t| out.extend(t.iter().cloned()));
     }
 
     /// Materialize the effective view as an owned database — the escape
     /// hatch for code paths without an overlay-aware evaluator (FO/FP
     /// constraint bodies).
     pub fn materialize(&self) -> Database {
-        let live = match self.deletes {
+        let mut live = match self.deletes {
             None => self.base.clone(),
             Some(del) => self.base.difference(del).unwrap_or_else(|e| {
                 unreachable!("overlay sides agree on relation count by construction: {e:?}")
             }),
         };
-        live.union(self.delta).unwrap_or_else(|e| {
-            // All sides come from the same schema, so arities always agree.
-            unreachable!("overlay sides agree on relation count by construction: {e:?}")
-        })
+        self.for_each_delta(&mut |rel, t| {
+            live.insert(rel, t.clone());
+        });
+        live
     }
 }
 
@@ -241,6 +306,30 @@ mod tests {
             true
         });
         assert_eq!(seen, vec![t(&[9])]);
+    }
+
+    #[test]
+    fn buffered_delta_views_like_the_database_delta() {
+        let (base, delta) = two_rel();
+        let mut buf = DeltaBuf::new(2);
+        for (rel, t) in delta
+            .iter()
+            .flat_map(|(r, i)| i.iter().map(move |t| (r, t)))
+        {
+            buf.insert_with(rel, t.arity(), |i| t.get(i));
+        }
+        let by_db = Overlay::new(&base, &delta).unwrap();
+        let by_buf = Overlay::over_buf(&base, &mut buf).unwrap();
+        assert_eq!(by_buf.materialize(), by_db.materialize());
+        assert_eq!(
+            by_buf.novel_rels().collect::<Vec<_>>(),
+            by_db.novel_rels().collect::<Vec<_>>()
+        );
+        for rel in [RelId(0), RelId(1)] {
+            assert_eq!(by_buf.rel_len(rel), by_db.rel_len(rel));
+            assert!(by_buf.contains(rel, &t(&[9])) == by_db.contains(rel, &t(&[9])));
+        }
+        assert!(Overlay::over_buf(&base, &mut DeltaBuf::new(3)).is_err());
     }
 
     #[test]

@@ -31,13 +31,21 @@ pub trait TupleStore {
     fn contains(&self, rel: RelId, t: &Tuple) -> bool;
 
     /// Visit every tuple of `rel` in deterministic order; stop when `f`
-    /// returns `false`. Returns `false` iff stopped early.
-    fn scan(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool;
+    /// returns `false`. Returns `false` iff stopped early. The tuples are
+    /// borrowed for as long as the store, so a visitor may keep references
+    /// to their fields (the plan executor binds variables that way).
+    fn scan<'s>(&'s self, rel: RelId, f: &mut dyn FnMut(&'s Tuple) -> bool) -> bool;
 
     /// Visit the tuples of `rel` with value `v` at column `col`
     /// (index-accelerated), in the same relative order as [`Self::scan`];
     /// stop when `f` returns `false`. Returns `false` iff stopped early.
-    fn probe(&self, rel: RelId, col: usize, v: &Value, f: &mut dyn FnMut(&Tuple) -> bool) -> bool;
+    fn probe<'s>(
+        &'s self,
+        rel: RelId,
+        col: usize,
+        v: &Value,
+        f: &mut dyn FnMut(&'s Tuple) -> bool,
+    ) -> bool;
 
     /// Collect every constant appearing in the store into `out`.
     fn active_domain_into(&self, out: &mut BTreeSet<Value>);
@@ -60,7 +68,7 @@ impl TupleStore for Database {
         self.instance(rel).contains(t)
     }
 
-    fn scan(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+    fn scan<'s>(&'s self, rel: RelId, f: &mut dyn FnMut(&'s Tuple) -> bool) -> bool {
         for t in self.instance(rel).iter() {
             if !f(t) {
                 return false;
@@ -69,7 +77,13 @@ impl TupleStore for Database {
         true
     }
 
-    fn probe(&self, rel: RelId, col: usize, v: &Value, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+    fn probe<'s>(
+        &'s self,
+        rel: RelId,
+        col: usize,
+        v: &Value,
+        f: &mut dyn FnMut(&'s Tuple) -> bool,
+    ) -> bool {
         let idx = self.instance(rel).index();
         for &id in idx.probe(col, v) {
             if !f(idx.tuple(id)) {
@@ -101,35 +115,37 @@ impl TupleStore for Overlay<'_> {
         Overlay::contains(self, rel, t)
     }
 
-    fn scan(&self, rel: RelId, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+    fn scan<'s>(&'s self, rel: RelId, f: &mut dyn FnMut(&'s Tuple) -> bool) -> bool {
         let live = self
             .base()
-            .scan(rel, &mut |t| !self.in_live_base(rel, t) || f(t));
+            .scan(rel, &mut |t| !self.base_tuple_live(rel, t) || f(t));
         if !live {
             return false;
         }
         self.for_each_novel(rel, f)
     }
 
-    fn probe(&self, rel: RelId, col: usize, v: &Value, f: &mut dyn FnMut(&Tuple) -> bool) -> bool {
+    fn probe<'s>(
+        &'s self,
+        rel: RelId,
+        col: usize,
+        v: &Value,
+        f: &mut dyn FnMut(&'s Tuple) -> bool,
+    ) -> bool {
         // The base's lazily built index still lists tombstoned tuples; every
         // hit is re-checked against the deletes side before being yielded.
         let live = self
             .base()
-            .probe(rel, col, v, &mut |t| !self.in_live_base(rel, t) || f(t));
+            .probe(rel, col, v, &mut |t| !self.base_tuple_live(rel, t) || f(t));
         if !live {
             return false;
         }
-        let idx = self.delta().instance(rel).index();
-        for &id in idx.probe(col, v) {
-            let t = idx.tuple(id);
-            // Skip delta tuples already live in the base: the effective view
-            // yields each tuple once.
-            if !self.in_live_base(rel, t) && !f(t) {
-                return false;
-            }
-        }
-        true
+        // The delta holds a few tuples and changes per candidate, so a
+        // filtered scan replaces building it a column index; it yields the
+        // same tuples in the same order and counts as the one probe the
+        // index would have served.
+        crate::index::count_probe();
+        self.for_each_novel(rel, &mut |t| t.0.get(col) != Some(v) || f(t))
     }
 
     fn active_domain_into(&self, out: &mut BTreeSet<Value>) {
@@ -143,7 +159,7 @@ impl TupleStore for Overlay<'_> {
                 .base()
                 .instance(rel)
                 .stats()
-                .overlaid(&self.delta().instance(rel).stats()),
+                .overlaid(&self.delta_instance(rel).stats()),
             // With tombstones, rebuild exact stats from the effective view.
             // Stats are advisory (plan choice only), so the scan cost is
             // paid rarely — and only by deletes-carrying overlays.

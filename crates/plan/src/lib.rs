@@ -17,8 +17,8 @@
 //! * **zero per-candidate allocation** — the per-column actions are
 //!   precompiled into one contiguous arena, the set of variables each step
 //!   binds is fixed by the order (so undo is a static slot list, not a
-//!   freshly allocated vector), and the binding array lives in a reusable
-//!   [`PlanScratch`].
+//!   freshly allocated vector), and the binding array is a fixed-capacity
+//!   stack array of references into the store's tuples.
 //!
 //! Plans are *estimates-in, exactness-out*: statistics steer only the join
 //! order, so a stale, empty, or adversarially wrong [`RelStats`](ric_data::RelStats) can change
@@ -37,7 +37,6 @@
 pub mod exec;
 pub mod planner;
 
-pub use exec::PlanScratch;
 pub use planner::{
     plan_tableau, plan_tableau_delta, CappedStats, DeltaPlans, PreparedPlan, StatsProvider,
 };
@@ -92,7 +91,6 @@ mod tests {
     fn planned_eval_matches_greedy_eval() {
         let s = schema();
         let d = db(&s);
-        let mut scratch = PlanScratch::default();
         for src in queries() {
             let t = tableau(&s, src);
             for stats in [true, false] {
@@ -102,7 +100,7 @@ mod tests {
                     plan_tableau(&t, &planner::NoStats)
                 };
                 let mut out = BTreeSet::new();
-                plan.eval_into(&d, &mut scratch, &mut out);
+                plan.eval_into(&d, &mut out);
                 assert_eq!(out, eval_tableau(&t, &d), "{src} (stats={stats})");
             }
         }
@@ -117,12 +115,11 @@ mod tests {
         delta.insert(e, Tuple::new([Value::int(3), Value::int(4)]));
         delta.insert(e, Tuple::new([Value::int(1), Value::int(2)])); // not novel
         let ov = Overlay::new(&base, &delta).unwrap();
-        let mut scratch = PlanScratch::default();
         for src in queries() {
             let t = tableau(&s, src);
             let plans = plan_tableau_delta(&t, &base);
             let mut out = BTreeSet::new();
-            plans.eval_delta_into(&ov, &mut scratch, &mut out);
+            plans.eval_delta_into(&ov, &mut out);
             assert_eq!(out, eval_tableau_delta(&t, &ov), "{src}");
         }
     }
@@ -135,20 +132,17 @@ mod tests {
         let mut delta = Database::empty(&s);
         delta.insert(e, Tuple::new([Value::int(2), Value::int(4)]));
         let ov = Overlay::new(&base, &delta).unwrap();
-        let mut scratch = PlanScratch::default();
         for src in queries() {
             let t = tableau(&s, src);
             let plans = plan_tableau_delta(&t, &base);
             let added = eval_tableau_delta(&t, &ov);
             // rhs = everything: within. rhs minus one answer: not within.
-            assert!(plans.delta_answers_within(&ov, &mut scratch, &added));
+            let sorted = |set: &BTreeSet<Tuple>| set.iter().cloned().collect::<Vec<_>>();
+            assert!(plans.delta_answers_within(&ov, &sorted(&added)));
             if let Some(first) = added.iter().next() {
                 let mut rhs = added.clone();
                 rhs.remove(first);
-                assert!(
-                    !plans.delta_answers_within(&ov, &mut scratch, &rhs),
-                    "{src}"
-                );
+                assert!(!plans.delta_answers_within(&ov, &sorted(&rhs)), "{src}");
             }
         }
     }
@@ -175,12 +169,11 @@ mod tests {
         }
         let s = schema();
         let d = db(&s);
-        let mut scratch = PlanScratch::default();
         for src in queries() {
             let t = tableau(&s, src);
             let plan = plan_tableau(&t, &Lying);
             let mut out = BTreeSet::new();
-            plan.eval_into(&d, &mut scratch, &mut out);
+            plan.eval_into(&d, &mut out);
             assert_eq!(out, eval_tableau(&t, &d), "{src}");
         }
     }
@@ -206,15 +199,14 @@ mod tests {
         let t = Tableau::of(&q).unwrap();
         let plan = plan_tableau(&t, &d);
         let mut out = BTreeSet::new();
-        let mut scratch = PlanScratch::default();
-        plan.eval_into(&d, &mut scratch, &mut out);
+        plan.eval_into(&d, &mut out);
         assert_eq!(out, BTreeSet::from([Tuple::unit()]));
         // Delta evaluation of an atomless tableau adds nothing.
         let delta = Database::empty(&s);
         let ov = Overlay::new(&d, &delta).unwrap();
         let plans = plan_tableau_delta(&t, &d);
         let mut dout = BTreeSet::new();
-        plans.eval_delta_into(&ov, &mut scratch, &mut dout);
+        plans.eval_delta_into(&ov, &mut dout);
         assert!(dout.is_empty());
     }
 
@@ -235,8 +227,7 @@ mod tests {
         let t = tableau(&s, "Q(X) :- E(X, X).");
         let plan = plan_tableau(&t, &d);
         let mut out = BTreeSet::new();
-        let mut scratch = PlanScratch::default();
-        plan.eval_into(&d, &mut scratch, &mut out);
+        plan.eval_into(&d, &mut out);
         assert_eq!(out, eval_tableau(&t, &d));
         // (1,1) and (3,3) are the self-loops.
         assert_eq!(out.len(), 2);
@@ -252,8 +243,7 @@ mod tests {
         let t = tableau(&s, "Q(X, Y) :- E(X, Y), Y != 1.");
         let plan = plan_tableau(&t, &d);
         let mut out = BTreeSet::new();
-        let mut scratch = PlanScratch::default();
-        plan.eval_into(&d, &mut scratch, &mut out);
+        plan.eval_into(&d, &mut out);
         assert_eq!(out, eval_tableau(&t, &d));
         assert!(out.iter().all(|t| t.get(1) != &Value::int(1)));
     }

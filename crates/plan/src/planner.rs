@@ -106,9 +106,8 @@ pub(crate) struct Step {
 /// choices, arena-backed column actions, and pinned inequality checks.
 ///
 /// Built once by [`plan_tableau`] / [`plan_tableau_delta`]; executed many
-/// times through the methods in [`crate::exec`] with a reusable
-/// [`PlanScratch`](crate::PlanScratch) — steady state, an execution
-/// allocates nothing beyond the answers it reports.
+/// times through the methods in [`crate::exec`] — steady state, an
+/// execution allocates nothing beyond the answers it reports.
 #[derive(Clone, Debug)]
 pub struct PreparedPlan {
     pub(crate) n_vars: u32,

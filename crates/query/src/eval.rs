@@ -94,7 +94,7 @@ pub fn eval_tableau<S: TupleStore>(t: &Tableau, db: &S) -> BTreeSet<Tuple> {
     };
     let mut used = vec![false; t.atoms.len()];
     let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
-    join.rec(&mut used, 0, &mut binding, &mut out);
+    join.rec(&mut used, 0, &mut binding, &mut Vec::new(), &mut out);
     out
 }
 
@@ -108,7 +108,7 @@ pub fn holds<S: TupleStore>(t: &Tableau, db: &S) -> bool {
     };
     let mut used = vec![false; t.atoms.len()];
     let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
-    join.rec(&mut used, 0, &mut binding, &mut out);
+    join.rec(&mut used, 0, &mut binding, &mut Vec::new(), &mut out);
     !out.is_empty()
 }
 
@@ -131,6 +131,7 @@ pub fn eval_tableau_delta(t: &Tableau, ov: &Overlay<'_>) -> BTreeSet<Tuple> {
     };
     let mut used = vec![false; t.atoms.len()];
     let mut binding: Vec<Option<Value>> = vec![None; t.n_vars as usize];
+    let mut trail = Vec::new();
     for pin in 0..t.atoms.len() {
         // Pin atom `pin` to a novel tuple; the remaining atoms join over the
         // whole overlay. The union over pins covers every derivation with a
@@ -138,11 +139,11 @@ pub fn eval_tableau_delta(t: &Tableau, ov: &Overlay<'_>) -> BTreeSet<Tuple> {
         let atom = &t.atoms[pin];
         used[pin] = true;
         ov.for_each_novel(atom.rel, &mut |tuple| {
-            if let Some(newly) = match_atom(atom, tuple, &mut binding) {
+            if match_atom(atom, tuple, &mut binding, &mut trail) {
                 if partial_neqs_hold(t, &binding) {
-                    join.rec(&mut used, 1, &mut binding, &mut out);
+                    join.rec(&mut used, 1, &mut binding, &mut trail, &mut out);
                 }
-                undo(&mut binding, &newly);
+                undo(&mut binding, &mut trail, 0);
             }
             true
         });
@@ -162,12 +163,14 @@ struct Join<'a, S: TupleStore> {
 
 impl<S: TupleStore> Join<'_, S> {
     /// Recurse over the unmatched atoms. Returns `false` iff the search was
-    /// aborted by `early_exit`.
+    /// aborted by `early_exit`. `trail` lists the slots bound so far, in
+    /// binding order, so each level undoes exactly its own binds.
     fn rec(
         &self,
         used: &mut [bool],
         n_used: usize,
         binding: &mut Vec<Option<Value>>,
+        trail: &mut Vec<usize>,
         out: &mut BTreeSet<Tuple>,
     ) -> bool {
         if n_used == self.t.atoms.len() {
@@ -198,16 +201,17 @@ impl<S: TupleStore> Join<'_, S> {
         used[i] = true;
         let t = self.t;
         let mut visit = |tuple: &Tuple| -> bool {
-            let Some(newly) = match_atom(atom, tuple, binding) else {
+            let mark = trail.len();
+            if !match_atom(atom, tuple, binding, trail) {
                 return true;
-            };
+            }
             // Eagerly prune with inequalities whose sides are both bound.
             let keep_going = if partial_neqs_hold(t, binding) {
-                self.rec(used, n_used + 1, binding, out)
+                self.rec(used, n_used + 1, binding, trail, out)
             } else {
                 true
             };
-            undo(binding, &newly);
+            undo(binding, trail, mark);
             keep_going
         };
         let completed = match &probe_key {
@@ -241,13 +245,20 @@ impl<S: TupleStore> Join<'_, S> {
 }
 
 /// Try to match `tuple` against `atom` under the current binding, extending
-/// it. Returns the newly bound variable slots on success (the caller undoes
-/// them after recursing), `None` on mismatch (already undone).
-fn match_atom(atom: &Atom, tuple: &Tuple, binding: &mut [Option<Value>]) -> Option<Vec<usize>> {
+/// it and pushing the newly bound slots onto `trail` (the caller undoes them
+/// after recursing). On mismatch the binding and trail are already restored
+/// and `false` is returned. One trail serves a whole evaluation, so a match
+/// allocates nothing.
+fn match_atom(
+    atom: &Atom,
+    tuple: &Tuple,
+    binding: &mut [Option<Value>],
+    trail: &mut Vec<usize>,
+) -> bool {
     if tuple.arity() != atom.args.len() {
-        return None;
+        return false;
     }
-    let mut newly: Vec<usize> = Vec::new();
+    let mark = trail.len();
     for (term, value) in atom.args.iter().zip(tuple.iter()) {
         let ok = match term {
             Term::Const(c) => c == value,
@@ -255,21 +266,22 @@ fn match_atom(atom: &Atom, tuple: &Tuple, binding: &mut [Option<Value>]) -> Opti
                 Some(b) => b == value,
                 None => {
                     binding[v.idx()] = Some(value.clone());
-                    newly.push(v.idx());
+                    trail.push(v.idx());
                     true
                 }
             },
         };
         if !ok {
-            undo(binding, &newly);
-            return None;
+            undo(binding, trail, mark);
+            return false;
         }
     }
-    Some(newly)
+    true
 }
 
-fn undo(binding: &mut [Option<Value>], newly: &[usize]) {
-    for &i in newly {
+/// Unbind the slots `trail` recorded after `mark`.
+fn undo(binding: &mut [Option<Value>], trail: &mut Vec<usize>, mark: usize) {
+    for i in trail.drain(mark..) {
         binding[i] = None;
     }
 }

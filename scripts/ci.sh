@@ -64,6 +64,14 @@
 #                              library code; tests are exempt via clippy.toml)
 #  21. docs                   (RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps:
 #                              broken intra-doc links are build errors)
+#  22. candidate loop         (cargo test --test alloc_regression: a decision's
+#                              allocations must not grow with its valuation
+#                              count; cargo test --test work_counts: the
+#                              exact search's counters are pinned absolutely)
+#  23. benchmark              (cargo test --manifest-path perfbench/Cargo.toml,
+#                              then a 2 s rcdp-exhaustive --trace 1 smoke that
+#                              fails on any counter or allocation determinism
+#                              mismatch between its passes)
 #
 # Everything runs with --offline: the default build has zero third-party
 # dependencies, so no network access is ever required. The proptest suites
@@ -269,5 +277,21 @@ cargo clippy --offline -p ric-complete -p ric -p ric-plan -p ric-monitor -p ric-
 # doc attribute fails CI rather than shipping a dead reference.
 step "docs (rustdoc, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
+# The candidate loop's two absolute pins: steady state a candidate allocates
+# nothing (the test binary counts allocations with its own global
+# allocator), and the search does exactly the recorded work per cell.
+step "candidate loop (allocation regression, pinned work counts)"
+cargo test -q --offline --test alloc_regression
+cargo test -q --offline --test work_counts
+
+# The end-to-end benchmark builds in its own cargo workspace. Its tests check
+# that every workload prints the declared metrics; the traced smoke runs the
+# untraced, traced and allocation-counted passes and exits nonzero when their
+# deterministic counts disagree.
+step "benchmark (perfbench self-checks, traced rcdp-exhaustive smoke)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload rcdp-exhaustive --seed 1 --seconds 2 --trace 1 > /dev/null
 
 printf '\nci.sh: all checks passed\n'
