@@ -1,6 +1,6 @@
 //! Containment constraints `q_v(R) ⊆ p(R_m)` and their satisfaction.
 
-use ric_data::{Database, Instance, RelId, Tuple, Value};
+use ric_data::{Database, RelId, Tuple, TupleStore, Value};
 use ric_query::tableau::TableauError;
 use ric_query::{Cq, EfoQuery, FoQuery, Program, QueryLanguage, Ucq};
 use std::collections::BTreeSet;
@@ -22,13 +22,16 @@ impl Projection {
         Projection { rel, cols }
     }
 
-    /// Evaluate on an instance set.
-    pub fn eval(&self, db: &Database) -> BTreeSet<Tuple> {
-        self.eval_instance(db.instance(self.rel))
-    }
-
-    fn eval_instance(&self, inst: &Instance) -> BTreeSet<Tuple> {
-        inst.iter().map(|t| t.project(&self.cols)).collect()
+    /// Evaluate on a store.
+    pub fn eval<S: TupleStore>(&self, db: &S) -> BTreeSet<Tuple> {
+        // Collected first, so the set is bulk-built from the (mostly sorted)
+        // rows rather than grown one insertion at a time.
+        let mut rows = Vec::with_capacity(db.rel_len(self.rel));
+        db.scan(self.rel, &mut |t| {
+            rows.push(t.project(&self.cols));
+            true
+        });
+        rows.into_iter().collect()
     }
 
     /// Output arity.
@@ -69,8 +72,8 @@ impl CcBody {
         }
     }
 
-    /// Evaluate on the database.
-    pub fn eval(&self, db: &Database) -> Result<BTreeSet<Tuple>, TableauError> {
+    /// Evaluate on a store (a database, or an overlay `D ∪ Δ`).
+    pub fn eval<S: TupleStore>(&self, db: &S) -> Result<BTreeSet<Tuple>, TableauError> {
         match self {
             CcBody::Proj(p) => Ok(p.eval(db)),
             CcBody::Cq(q) => ric_query::eval::eval_cq(q, db),
@@ -288,8 +291,8 @@ pub struct LowerBound {
 }
 
 impl LowerBound {
-    /// `(D, D_m) |= p(R_m) ⊆ q(R)`.
-    pub fn satisfied(&self, db: &Database, dm: &Database) -> Result<bool, TableauError> {
+    /// `(D, D_m) |= p(R_m) ⊆ q(R)`, on any store `D`.
+    pub fn satisfied<S: TupleStore>(&self, db: &S, dm: &Database) -> Result<bool, TableauError> {
         let lhs = self.master.eval(dm);
         if lhs.is_empty() {
             return Ok(true);

@@ -15,9 +15,9 @@
 //! novel delta tuple are skipped outright (reported as
 //! [`DeltaCheck::skipped`], the deciders' `cc.skipped_by_delta` counter).
 //!
-//! FO and FP bodies are not monotone (negation); for those the overlay is
-//! materialized once and the body re-evaluated in full — correct, just not
-//! incremental.
+//! FO bodies are not monotone (negation), and an FP body's new answers can
+//! come from any chain of derivations; both are re-evaluated in full, on the
+//! overlay itself — correct, just not incremental.
 //!
 //! [`PreparedInds`] is the IND-only counterpart the deciders use under
 //! Corollary 3.4, where a candidate delta is checked on its own.
@@ -54,7 +54,7 @@ struct PreparedCc {
     /// Relations the body reads.
     rels: BTreeSet<RelId>,
     /// The body's tableaux (`None` for FO/FP bodies, which re-evaluate in
-    /// full on the materialized union).
+    /// full on the overlay).
     tableaux: Option<Vec<Tableau>>,
     /// Compiled delta plans, one per tableau, when this set was prepared
     /// with [`PreparedUpper::with_plans`]. Plans and tableaux answer the
@@ -72,7 +72,7 @@ struct PreparedCc {
 /// right-hand-side projections move out of the per-candidate loop.
 pub struct PreparedUpper {
     ccs: Vec<PreparedCc>,
-    /// Body of some constraint is FO/FP (forces materialization when its
+    /// Body of some constraint is FO/FP (re-evaluated in full when its
     /// relations are touched).
     fo_bodies: Vec<usize>,
     /// Per-relation row counts the planner costed against, for every
@@ -226,8 +226,6 @@ impl PreparedUpper {
         let mut novel = NovelRels::new(ov);
         let mut checked = 0usize;
         let mut skipped = 0usize;
-        // Lazily materialized union, shared by every FO/FP body.
-        let mut materialized: Option<Database> = None;
         let within = |rhs: &[Tuple], a: &Tuple| rhs.binary_search(a).is_ok();
         for (i, (prep, cc)) in self.ccs.iter().zip(original.ccs.iter()).enumerate() {
             if !prep.rels.iter().any(|&r| novel.has(r)) {
@@ -247,10 +245,9 @@ impl PreparedUpper {
                         .all(|a| within(&prep.rhs, a))
                 }),
                 (None, None) => {
-                    let union = materialized.get_or_insert_with(|| ov.materialize());
                     let lhs = match &cc.body {
-                        CcBody::Fo(q) => q.try_eval(union)?,
-                        CcBody::Fp(p) => p.eval(union),
+                        CcBody::Fo(q) => q.try_eval(ov)?,
+                        CcBody::Fp(p) => p.eval(ov),
                         // as_ucq only fails on FO/FP bodies.
                         _ => unreachable!("monotone bodies are prepared as tableaux"),
                     };

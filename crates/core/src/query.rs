@@ -1,6 +1,6 @@
 //! The `L_Q` parameter: a query in any of the paper's five languages.
 
-use ric_data::{Database, Tuple, Value};
+use ric_data::{Tuple, TupleStore, Value};
 use ric_query::tableau::TableauError;
 use ric_query::{Cq, EfoQuery, FoQuery, Program, QueryLanguage, Ucq};
 use std::collections::BTreeSet;
@@ -32,8 +32,9 @@ impl Query {
         }
     }
 
-    /// Evaluate on a database.
-    pub fn eval(&self, db: &Database) -> Result<BTreeSet<Tuple>, TableauError> {
+    /// Evaluate on a store: a database, or an overlay `D ∪ Δ` that the
+    /// bounded search evaluates candidates on without materializing them.
+    pub fn eval<S: TupleStore>(&self, db: &S) -> Result<BTreeSet<Tuple>, TableauError> {
         match self {
             Query::Cq(q) => ric_query::eval::eval_cq(q, db),
             Query::Ucq(q) => ric_query::eval::eval_ucq(q, db),

@@ -218,7 +218,7 @@ fn rcqp_inner(
         probe.note("rcqp.strategy", || "bounded".into());
         // The caller (rcqp_probed) emits the outcome note, so route through
         // the note-free inner variant of the bounded search.
-        return crate::semidecide::rcqp_bounded_inner(setting, query, budget, guard, probe);
+        return crate::semidecide::rcqp_bounded_inner(setting, query, budget, guard, probe, reuse);
     }
     // Lower-bound constraints (the Section 5 extension) force minimal
     // content into every candidate database; build that seed first. With no

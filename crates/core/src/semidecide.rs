@@ -23,7 +23,8 @@ use crate::query::Query;
 use crate::setting::Setting;
 use crate::verdict::{BudgetLimit, CounterExample, QueryVerdict, RcError, SearchStats, Verdict};
 use ric_constraints::PreparedUpper;
-use ric_data::{index::probe_count, Database, Overlay, RelId, Tuple, Value};
+use ric_data::{index::probe_count, Database, DeltaBuf, Overlay, RelId, Tuple, TupleStore, Value};
+use ric_query::CompiledProgram;
 use ric_telemetry::Probe;
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -70,15 +71,13 @@ pub(crate) fn tuple_pool(
     pool
 }
 
-/// Per-candidate closure check for the bounded search. Unlike the exact
-/// decider's [`CheckMode`](crate::rcdp::CheckMode), this one must hand back a
-/// materialized union for the surviving candidates: `L_Q` here may be FO/FP,
-/// which the query evaluator wants as a concrete [`Database`].
+/// How the bounded search checks `(D ∪ Δ, D_m) |= V` per candidate.
 enum BoundedCheck {
-    /// Materialize every candidate union and check `V` in full.
+    /// Materialize every candidate union and check `V` in full — the Naive
+    /// engine's oracle path.
     Full,
-    /// Check upper bounds incrementally on the overlay and materialize only
-    /// the survivors. Requires the upper bounds to hold on the base.
+    /// Check upper bounds incrementally on the overlay `D ∪ Δ`. Requires the
+    /// upper bounds to hold on the base.
     Delta {
         prepared: Arc<PreparedUpper>,
         /// Lower bounds must be re-checked on each surviving union — some
@@ -113,17 +112,7 @@ impl BoundedCheck {
         }
         let prepared = match reuse {
             Some(prep) => Arc::clone(prep),
-            None if engine.is_planned() => Arc::new(PreparedUpper::with_plans(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-                db,
-            )?),
-            None => Arc::new(PreparedUpper::new(
-                &setting.v,
-                &setting.schema,
-                &setting.dm,
-            )?),
+            None => prepare_upper(setting, db, engine)?,
         };
         Ok(BoundedCheck::Delta {
             prepared,
@@ -138,48 +127,160 @@ impl BoundedCheck {
             BoundedCheck::Full => None,
         }
     }
+}
 
-    /// `(D ∪ Δ, D_m) |= V`? Returns the materialized union for survivors so
-    /// the caller can evaluate the query on it, `None` for rejects.
-    fn closed_union(
-        &self,
-        setting: &Setting,
-        db: &Database,
-        delta: &Database,
-        cc_skipped: &Cell<u64>,
-    ) -> Result<Option<Database>, RcError> {
+/// Compile the upper bounds for the delta mode: with cost-based plans steered
+/// by `db` on the planned engine, plain otherwise.
+fn prepare_upper(
+    setting: &Setting,
+    db: &Database,
+    engine: Engine,
+) -> Result<Arc<PreparedUpper>, RcError> {
+    let (v, schema, dm) = (&setting.v, &setting.schema, &setting.dm);
+    Ok(Arc::new(if engine.is_planned() {
+        PreparedUpper::with_plans(v, schema, dm, db)?
+    } else {
+        PreparedUpper::new(v, schema, dm)?
+    }))
+}
+
+/// The query side of the bounded check.
+enum BoundedQuery<'q> {
+    /// FP, compiled once and re-run per surviving candidate. Datalog is
+    /// monotone, so `Q(D) ⊆ Q(D ∪ Δ)`, and the answers differ exactly when
+    /// the output has more rows than `Q(D)`: no answer set is built unless
+    /// they do.
+    Fp(CompiledProgram<'q>),
+    /// Any other language: evaluate the answer set and compare.
+    Set(&'q Query),
+}
+
+impl<'q> BoundedQuery<'q> {
+    fn new(query: &'q Query) -> Self {
+        match query {
+            Query::Fp(p) => BoundedQuery::Fp(p.compile()),
+            other => BoundedQuery::Set(other),
+        }
+    }
+
+    /// The least answer in `Q(store) △ Q(D)`, or `None` when the answers
+    /// agree. For non-monotone `L_Q` an addition can also *remove* answers,
+    /// so either side of the difference counts.
+    fn new_answer<S: TupleStore>(
+        &mut self,
+        store: &S,
+        q_d: &BTreeSet<Tuple>,
+    ) -> Result<Option<Tuple>, RcError> {
         match self {
+            BoundedQuery::Fp(compiled) => {
+                compiled.run(store);
+                if compiled.output_len() == q_d.len() {
+                    return Ok(None);
+                }
+                let least = compiled
+                    .output_rows()
+                    .filter(|row| !q_d.contains(*row))
+                    .min()
+                    .unwrap_or_else(|| unreachable!("monotone: a larger output has a new row"));
+                Ok(Some(Tuple::new(least.iter().cloned())))
+            }
+            BoundedQuery::Set(query) => {
+                let after = query.eval(store)?;
+                Ok(after.symmetric_difference(q_d).next().cloned())
+            }
+        }
+    }
+}
+
+/// The per-candidate work of the bounded search: fill one reused
+/// [`DeltaBuf`] with the chosen pool tuples, check `V` on `D ∪ Δ` and, for
+/// a survivor, compare `Q(D ∪ Δ)` with `Q(D)`. In the delta mode the union
+/// is only ever an [`Overlay`]; a [`Database`] is built for a counterexample
+/// and for the full mode. The sequential, chunked and resumed searches all
+/// check through one of these.
+struct BoundedChecker<'a> {
+    search: &'a BoundedSearch<'a>,
+    query: BoundedQuery<'a>,
+    delta: DeltaBuf,
+    cc_checks: u64,
+    cc_skipped: u64,
+    query_evals: u64,
+}
+
+impl<'a> BoundedChecker<'a> {
+    /// A checker whose counters start at `committed`'s.
+    fn new(search: &'a BoundedSearch<'a>, committed: &ChunkStats) -> Self {
+        BoundedChecker {
+            search,
+            query: BoundedQuery::new(search.query),
+            delta: DeltaBuf::new(search.setting.schema.len()),
+            cc_checks: committed.cc_checks,
+            cc_skipped: committed.cc_skipped,
+            query_evals: committed.query_evals,
+        }
+    }
+
+    /// Check the candidate made of the pool tuples at `subset`.
+    fn check(&mut self, subset: &[usize]) -> Result<Option<CounterExample>, RcError> {
+        let BoundedSearch {
+            setting, db, q_d, ..
+        } = *self.search;
+        self.delta.clear();
+        for &i in subset {
+            let (rel, t) = &self.search.pool[i];
+            self.delta.insert_with(*rel, t.arity(), |j| t.get(j));
+        }
+        self.cc_checks += 1;
+        let new_answer = match self.search.check {
             BoundedCheck::Full => {
                 let extended = db
-                    .union(delta)
+                    .union(&self.delta.to_database())
                     .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
-                if setting.partially_closed(&extended)? {
-                    Ok(Some(extended))
-                } else {
-                    Ok(None)
+                if !setting.partially_closed(&extended)? {
+                    return Ok(None);
                 }
+                self.query_evals += 1;
+                self.query.new_answer(&extended, q_d)?
             }
             BoundedCheck::Delta {
                 prepared,
                 recheck_lower,
             } => {
-                let ov = Overlay::new(db, delta)
+                let ov = Overlay::over_buf(db, &mut self.delta)
                     .unwrap_or_else(|e| unreachable!("delta shares the setting schema: {e:?}"));
                 let res = prepared.satisfied_delta(&setting.v, &ov)?;
-                cc_skipped.set(cc_skipped.get() + res.skipped as u64);
+                self.cc_skipped += res.skipped as u64;
                 if !res.satisfied {
                     return Ok(None);
                 }
-                let extended = ov.materialize();
                 if *recheck_lower {
                     for lb in &setting.v.lower_bounds {
-                        if !lb.satisfied(&extended, &setting.dm)? {
+                        if !lb.satisfied(&ov, &setting.dm)? {
                             return Ok(None);
                         }
                     }
                 }
-                Ok(Some(extended))
+                self.query_evals += 1;
+                self.query.new_answer(&ov, q_d)?
             }
+        };
+        Ok(new_answer.map(|new_answer| CounterExample {
+            delta: self.delta.to_database(),
+            new_answer,
+        }))
+    }
+
+    /// The checker's counters with the meter's ticks and the probes issued.
+    fn stats(&self, ticks: u64, probes: u64) -> ChunkStats {
+        ChunkStats {
+            ticks,
+            cc_checks: self.cc_checks,
+            cc_skipped: self.cc_skipped,
+            query_evals: self.query_evals,
+            probes,
+            // The bounded search enumerates tuple subsets, not valuation
+            // trees — no depth profile applies.
+            ..ChunkStats::default()
         }
     }
 }
@@ -261,13 +362,47 @@ pub(crate) fn rcdp_bounded_guarded_reusing(
     reuse: Option<&Arc<PreparedUpper>>,
 ) -> Result<Verdict, RcError> {
     let probe = probe.with_ticks(guard);
-    let verdict = rcdp_bounded_inner(setting, query, db, budget, guard, probe, reuse)?;
+    let (verdict, _) = bounded_decide(setting, query, db, budget, guard, probe, reuse, None)?;
     crate::rcdp::emit_verdict(probe, &verdict);
     Ok(verdict)
 }
 
+/// A bounded-search resume point: every extension size below `next_size` is
+/// fully searched, with `stats` the cumulative committed work over those
+/// sizes. The public mirror is
+/// [`Frontier::BoundedSizes`](crate::checkpoint::Frontier).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BoundedResume {
+    /// First unexplored extension size.
+    pub next_size: usize,
+    /// Cumulative stats over the fully-searched smaller sizes.
+    pub stats: ChunkStats,
+}
+
+/// The resumable bounded decider: [`rcdp_bounded_guarded`] with a size-level
+/// resume point in and out.
+pub(crate) fn rcdp_bounded_resumed(
+    setting: &Setting,
+    query: &Query,
+    db: &Database,
+    budget: &SearchBudget,
+    guard: &Guard,
+    probe: Probe<'_>,
+    prior: Option<&BoundedResume>,
+) -> Result<(Verdict, Option<BoundedResume>), RcError> {
+    let probe = probe.with_ticks(guard);
+    let out = bounded_decide(setting, query, db, budget, guard, probe, None, prior)?;
+    crate::rcdp::emit_verdict(probe, &out.0);
+    Ok(out)
+}
+
+/// One bounded decision, fresh (`prior` `None`) or resumed. Setup (query
+/// evaluation, check-mode selection, active domain, candidate pool) re-runs
+/// every installment — it is deterministic, so the emitted telemetry stays
+/// installment-independent. Returns the resume point alongside the verdict
+/// when the search stopped on a budget-like limit.
 #[allow(clippy::too_many_arguments)]
-fn rcdp_bounded_inner(
+fn bounded_decide(
     setting: &Setting,
     query: &Query,
     db: &Database,
@@ -275,7 +410,8 @@ fn rcdp_bounded_inner(
     guard: &Guard,
     probe: Probe<'_>,
     reuse: Option<&Arc<PreparedUpper>>,
-) -> Result<Verdict, RcError> {
+    prior: Option<&BoundedResume>,
+) -> Result<(Verdict, Option<BoundedResume>), RcError> {
     let q_d = query.eval(db)?;
     let probes_before = probe_count();
     let check = BoundedCheck::select(setting, db, budget.engine, reuse)?;
@@ -293,89 +429,84 @@ fn rcdp_bounded_inner(
     probe.gauge("semidecide.adom_size", values.len() as u64);
     if pool_estimate(setting, values.len()) > MAX_POOL {
         probe.count("semidecide.query_evals", 1);
-        return Ok(Verdict::unknown(SearchStats::new(
+        let verdict = Verdict::unknown(SearchStats::new(
             BudgetLimit::PoolBound,
             format!(
                 "candidate tuple space exceeds {MAX_POOL} over {} values; \
                  narrow the schema or shrink the database",
                 values.len()
             ),
-        )));
+        ));
+        return Ok((verdict, None));
     }
     let pool = tuple_pool(setting, db, &values);
     probe.gauge("semidecide.pool_size", pool.len() as u64);
-    if budget.engine.sharded() {
-        let (verdict, _) = rcdp_bounded_parallel(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            probes_before,
-            1,
-            &ChunkStats::default(),
-        )?;
-        return Ok(verdict);
-    }
-    let probes_offset = probe_count().saturating_sub(probes_before);
-    let (verdict, _) = bounded_search_sequential(
+    let search = BoundedSearch {
         setting,
         query,
         db,
-        budget,
-        guard,
-        probe,
-        &q_d,
-        &check,
-        &pool,
-        1,
-        &ChunkStats::default(),
-        probes_offset,
-    )?;
-    Ok(verdict)
+        q_d: &q_d,
+        check: &check,
+        pool: &pool,
+    };
+    let start_size = prior.map_or(1, |r| r.next_size);
+    let committed = prior.map_or_else(ChunkStats::default, |r| r.stats);
+    if budget.engine.sharded() {
+        rcdp_bounded_parallel(
+            &search,
+            budget,
+            guard,
+            probe,
+            probes_before,
+            start_size,
+            &committed,
+        )
+    } else {
+        let probes_offset = probe_count().saturating_sub(probes_before) + committed.probes;
+        bounded_search_sequential(
+            &search,
+            budget,
+            guard,
+            probe,
+            start_size,
+            &committed,
+            probes_offset,
+        )
+    }
 }
 
-/// A bounded-search resume point: every extension size below `next_size` is
-/// fully searched, with `stats` the cumulative committed work over those
-/// sizes. The public mirror is
-/// [`Frontier::BoundedSizes`](crate::checkpoint::Frontier).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BoundedResume {
-    /// First unexplored extension size.
-    pub next_size: usize,
-    /// Cumulative stats over the fully-searched smaller sizes.
-    pub stats: ChunkStats,
+/// One bounded decision's candidate space and check, shared by its drivers
+/// and by every [`BoundedChecker`] they make.
+struct BoundedSearch<'a> {
+    setting: &'a Setting,
+    query: &'a Query,
+    db: &'a Database,
+    /// `Q(D)`.
+    q_d: &'a BTreeSet<Tuple>,
+    check: &'a BoundedCheck,
+    pool: &'a [(RelId, Tuple)],
 }
 
 /// The (resumable) sequential bounded extension search. `start_size` and
 /// `committed` come from a prior installment's checkpoint (size 1 and empty
 /// stats for a fresh run): the meter is primed with the committed ticks and
-/// the counter cells with the committed totals, so the search rejects — and
+/// the checker with the committed totals, so the search rejects — and
 /// reports — at exactly the point an uninterrupted run at the same budget
 /// would. `probes_offset` is the caller's setup probe count plus any probes
 /// committed by earlier installments; the emitted `index.probe` counter is
 /// `probes_offset` + this call's own probes, keeping the counter
 /// installment-independent. Returns the resume point alongside the verdict
 /// when the search stopped on a budget-like limit.
-#[allow(clippy::too_many_arguments)]
 fn bounded_search_sequential(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
+    search: &BoundedSearch<'_>,
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    q_d: &BTreeSet<Tuple>,
-    check: &BoundedCheck,
-    pool: &[(RelId, Tuple)],
     start_size: usize,
     committed: &ChunkStats,
     probes_offset: u64,
 ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
+    let pool = search.pool;
     let entry_probes = probe_count();
     let mut meter = Meter::guarded_primed(
         MeterKind::Candidates,
@@ -383,47 +514,17 @@ fn bounded_search_sequential(
         committed.ticks,
         guard,
     );
-    let query_evals = Cell::new(1 + committed.query_evals);
-    let cc_checks = Cell::new(committed.cc_checks);
-    let cc_skipped = Cell::new(committed.cc_skipped);
+    let mut checker = BoundedChecker::new(search, committed);
     let mut ledger = *committed;
     let mut frontier = None;
 
     let span = probe.span("semidecide.extension_search");
     let mut verdict = None;
+    let mut chosen: Vec<usize> = Vec::with_capacity(budget.max_delta_tuples.min(pool.len()));
     for size in start_size..=budget.max_delta_tuples.min(pool.len()) {
-        let mut chosen: Vec<usize> = Vec::with_capacity(size);
-        let found = choose(
-            pool,
-            0,
-            size,
-            &mut chosen,
-            &mut meter,
-            &mut |subset: &[usize]| -> Result<Option<CounterExample>, RcError> {
-                let mut delta = Database::with_relations(setting.schema.len());
-                for &i in subset {
-                    let (rel, t) = &pool[i];
-                    delta.insert(*rel, t.clone());
-                }
-                cc_checks.set(cc_checks.get() + 1);
-                let Some(extended) = check.closed_union(setting, db, &delta, &cc_skipped)? else {
-                    return Ok(None);
-                };
-                let q_after = query.eval(&extended)?;
-                query_evals.set(query_evals.get() + 1);
-                if q_after != *q_d {
-                    // For non-monotone L_Q an addition can also *remove*
-                    // answers; report any distinguishing tuple.
-                    let new_answer = q_after
-                        .symmetric_difference(q_d)
-                        .next()
-                        .unwrap_or_else(|| unreachable!("answers differ"))
-                        .clone();
-                    return Ok(Some(CounterExample { delta, new_answer }));
-                }
-                Ok(None)
-            },
-        )?;
+        let found = choose(pool, 0, size, &mut chosen, &mut meter, &mut |subset| {
+            checker.check(subset)
+        })?;
         match found {
             ChooseOutcome::Found(ce) => {
                 verdict = Some(Verdict::Incomplete(ce));
@@ -460,23 +561,18 @@ fn bounded_search_sequential(
             }
             ChooseOutcome::Exhausted => {
                 // Commit this fully-searched size: the cumulative totals are
-                // what a resumed installment primes its meter and cells with.
-                ledger = ChunkStats {
-                    ticks: meter.used(),
-                    cc_checks: cc_checks.get(),
-                    cc_skipped: cc_skipped.get(),
-                    query_evals: query_evals.get() - 1,
-                    probes: committed.probes + probe_count().saturating_sub(entry_probes),
-                    ..ChunkStats::default()
-                };
+                // what a resumed installment primes its meter and checker
+                // with.
+                let probes = committed.probes + probe_count().saturating_sub(entry_probes);
+                ledger = checker.stats(meter.used(), probes);
             }
         }
     }
     drop(span);
     probe.count("semidecide.candidates", meter.used());
-    probe.count("semidecide.cc_checks", cc_checks.get());
-    probe.count("semidecide.query_evals", query_evals.get());
-    probe.count("cc.skipped_by_delta", cc_skipped.get());
+    probe.count("semidecide.cc_checks", checker.cc_checks);
+    probe.count("semidecide.query_evals", 1 + checker.query_evals);
+    probe.count("cc.skipped_by_delta", checker.cc_skipped);
     // Thread-local counter: exact even when other threads probe concurrently.
     probe.count(
         "index.probe",
@@ -500,82 +596,6 @@ fn bounded_search_sequential(
     Ok((verdict, frontier))
 }
 
-/// The resumable bounded decider: [`rcdp_bounded_guarded`] with a size-level
-/// resume point in and out. Setup (query evaluation, check-mode selection,
-/// active domain, candidate pool) re-runs every installment — it is
-/// deterministic, so the emitted telemetry stays installment-independent.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rcdp_bounded_resumed(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
-    budget: &SearchBudget,
-    guard: &Guard,
-    probe: Probe<'_>,
-    prior: Option<&BoundedResume>,
-) -> Result<(Verdict, Option<BoundedResume>), RcError> {
-    let probe = probe.with_ticks(guard);
-    let q_d = query.eval(db)?;
-    let probes_before = probe_count();
-    let check = BoundedCheck::select(setting, db, budget.engine, None)?;
-    crate::rcdp::emit_plan_telemetry(probe, setting, budget.engine, check.prepared(), false, db);
-    let adom = Adom::build(db, setting, query, budget.fresh_values);
-    let mut values = adom.constants.clone();
-    values.extend(adom.fresh.iter().cloned());
-    probe.gauge("semidecide.adom_size", values.len() as u64);
-    if pool_estimate(setting, values.len()) > MAX_POOL {
-        probe.count("semidecide.query_evals", 1);
-        let verdict = Verdict::unknown(SearchStats::new(
-            BudgetLimit::PoolBound,
-            format!(
-                "candidate tuple space exceeds {MAX_POOL} over {} values; \
-                 narrow the schema or shrink the database",
-                values.len()
-            ),
-        ));
-        crate::rcdp::emit_verdict(probe, &verdict);
-        return Ok((verdict, None));
-    }
-    let pool = tuple_pool(setting, db, &values);
-    probe.gauge("semidecide.pool_size", pool.len() as u64);
-    let start_size = prior.map_or(1, |r| r.next_size);
-    let committed = prior.map_or_else(ChunkStats::default, |r| r.stats);
-    let (verdict, frontier) = if budget.engine.sharded() {
-        rcdp_bounded_parallel(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            probes_before,
-            start_size,
-            &committed,
-        )?
-    } else {
-        let probes_offset = probe_count().saturating_sub(probes_before) + committed.probes;
-        bounded_search_sequential(
-            setting,
-            query,
-            db,
-            budget,
-            guard,
-            probe,
-            &q_d,
-            &check,
-            &pool,
-            start_size,
-            &committed,
-            probes_offset,
-        )?
-    };
-    crate::rcdp::emit_verdict(probe, &verdict);
-    Ok((verdict, frontier))
-}
-
 /// The bounded extension search, sharded across the worker pool: for each
 /// extension size, one chunk per choice of the subset's *first* pool index.
 /// Chunk `i`'s subtree enumerates exactly the subsets the sequential
@@ -594,23 +614,18 @@ pub(crate) fn rcdp_bounded_resumed(
 /// the sequential driver, re-running the failed size from its start —
 /// verdict- and witness-sound, though the sequential meter's death point may
 /// differ from the parallel slicing's.
-#[allow(clippy::too_many_arguments)]
 fn rcdp_bounded_parallel(
-    setting: &Setting,
-    query: &Query,
-    db: &Database,
+    search: &BoundedSearch<'_>,
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
-    q_d: &BTreeSet<Tuple>,
-    check: &BoundedCheck,
-    pool: &[(RelId, Tuple)],
     probes_before: u64,
     start_size: usize,
     committed: &ChunkStats,
 ) -> Result<(Verdict, Option<BoundedResume>), RcError> {
     use crate::par::{self, ChunkEvent, ChunkResult, PoolOutcome};
 
+    let pool = search.pool;
     // Probes issued while building the check mode, active domain, and pool —
     // the sequential path counts them too, before its enumeration begins.
     let setup_probes = probe_count().saturating_sub(probes_before);
@@ -653,9 +668,7 @@ fn rcdp_bounded_parallel(
                 par::chunk_budget(remaining, n_chunks, idx),
                 wguard,
             );
-            let cc_checks = Cell::new(0u64);
-            let cc_skipped = Cell::new(0u64);
-            let query_evals = Cell::new(0u64);
+            let mut checker = BoundedChecker::new(search, &ChunkStats::default());
             let mut chosen: Vec<usize> = Vec::with_capacity(size);
             chosen.push(idx);
             let found = choose(
@@ -664,29 +677,7 @@ fn rcdp_bounded_parallel(
                 size - 1,
                 &mut chosen,
                 &mut meter,
-                &mut |subset: &[usize]| -> Result<Option<CounterExample>, RcError> {
-                    let mut delta = Database::with_relations(setting.schema.len());
-                    for &i in subset {
-                        let (rel, t) = &pool[i];
-                        delta.insert(*rel, t.clone());
-                    }
-                    cc_checks.set(cc_checks.get() + 1);
-                    let Some(extended) = check.closed_union(setting, db, &delta, &cc_skipped)?
-                    else {
-                        return Ok(None);
-                    };
-                    let q_after = query.eval(&extended)?;
-                    query_evals.set(query_evals.get() + 1);
-                    if q_after != *q_d {
-                        let new_answer = q_after
-                            .symmetric_difference(q_d)
-                            .next()
-                            .unwrap_or_else(|| unreachable!("answers differ"))
-                            .clone();
-                        return Ok(Some(CounterExample { delta, new_answer }));
-                    }
-                    Ok(None)
-                },
+                &mut |subset| checker.check(subset),
             );
             let (event, value) = match found {
                 Ok(ChooseOutcome::Found(ce)) => (ChunkEvent::Hit, Some(Ok(ce))),
@@ -700,16 +691,10 @@ fn rcdp_bounded_parallel(
             ChunkResult {
                 event,
                 value,
-                stats: ChunkStats {
-                    ticks: meter.used(),
-                    cc_checks: cc_checks.get(),
-                    cc_skipped: cc_skipped.get(),
-                    probes: probe_count().saturating_sub(worker_probes_before),
-                    query_evals: query_evals.get(),
-                    // The bounded search enumerates tuple subsets, not
-                    // valuation trees — no depth profile applies.
-                    ..ChunkStats::default()
-                },
+                stats: checker.stats(
+                    meter.used(),
+                    probe_count().saturating_sub(worker_probes_before),
+                ),
             }
         };
         let recovered = par::run_chunks_recovering(budget.engine.workers(), n_chunks, guard, &job);
@@ -732,15 +717,10 @@ fn rcdp_bounded_parallel(
             probe.count("par.chunk", executed);
             probe.count("par.steal", steals);
             return bounded_search_sequential(
-                setting,
-                query,
-                db,
+                search,
                 budget,
                 guard,
                 probe,
-                q_d,
-                check,
-                pool,
                 size,
                 &ledger,
                 setup_probes + ledger.probes,
@@ -915,17 +895,23 @@ pub fn rcqp_bounded_guarded(
     probe: Probe<'_>,
 ) -> Result<QueryVerdict, RcError> {
     let probe = probe.with_ticks(guard);
-    let verdict = rcqp_bounded_inner(setting, query, budget, guard, probe)?;
+    let verdict = rcqp_bounded_inner(setting, query, budget, guard, probe, None)?;
     crate::rcqp::emit_query_verdict(probe, &verdict);
     Ok(verdict)
 }
 
+/// The bounded RCQP search without the outcome note. `reuse` is a
+/// pre-built upper-bound preparation; without one, `V` is compiled once, at
+/// the first partially closed candidate, and every candidate's refutation
+/// search shares it (plans fix join order only, so the statistics they were
+/// costed against never change a verdict).
 pub(crate) fn rcqp_bounded_inner(
     setting: &Setting,
     query: &Query,
     budget: &SearchBudget,
     guard: &Guard,
     probe: Probe<'_>,
+    reuse: Option<&Arc<PreparedUpper>>,
 ) -> Result<QueryVerdict, RcError> {
     let empty = Database::empty(&setting.schema);
     let adom = Adom::build(&empty, setting, query, budget.fresh_values);
@@ -942,6 +928,7 @@ pub(crate) fn rcqp_bounded_inner(
     probe.gauge("semidecide.pool_size", pool.len() as u64);
     let mut meter = Meter::guarded(MeterKind::Candidates, budget.max_candidates, guard);
     let cc_checks = Cell::new(0u64);
+    let mut upper = reuse.cloned();
 
     let span = probe.span("semidecide.candidate_search");
     let mut verdict = None;
@@ -969,9 +956,20 @@ pub(crate) fn rcqp_bounded_inner(
                 // candidates would flood the sink with inner-search events;
                 // the outer meter already accounts for the work. The guard is
                 // shared so a deadline covers the inner searches too.
-                if let Verdict::Unknown { .. } =
-                    rcdp_bounded_inner(setting, query, &db, budget, guard, Probe::disabled(), None)?
-                {
+                if upper.is_none() && budget.engine.indexed() {
+                    upper = Some(prepare_upper(setting, &db, budget.engine)?);
+                }
+                let refuted = bounded_decide(
+                    setting,
+                    query,
+                    &db,
+                    budget,
+                    guard,
+                    Probe::disabled(),
+                    upper.as_ref(),
+                    None,
+                )?;
+                if let (Verdict::Unknown { .. }, _) = refuted {
                     // An Unknown caused by a guard trip is not evidence that
                     // the candidate survived — the refutation search was cut
                     // short. Report nothing; the tripped guard ends the outer

@@ -43,9 +43,10 @@ const NO_MATCHES: &[u32] = &[];
 /// A multiply-rotate hasher (the Fx hash of rustc) for the column maps.
 /// Probe keys are short constants hashed on every probe, where SipHash's
 /// per-call setup dominates; the maps only serve point lookups, so the
-/// weaker mixing costs nothing observable, and it is deterministic.
+/// weaker mixing costs nothing observable, and it is deterministic. The
+/// datalog evaluator's row tables hash with it too.
 #[derive(Default, Clone, Copy)]
-struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 

@@ -242,9 +242,9 @@ impl<'a> Overlay<'a> {
         self.for_each_delta(&mut |_, t| out.extend(t.iter().cloned()));
     }
 
-    /// Materialize the effective view as an owned database — the escape
-    /// hatch for code paths without an overlay-aware evaluator (FO/FP
-    /// constraint bodies).
+    /// Materialize the effective view as an owned database — the reference
+    /// that tests compare overlay-aware evaluation against (every evaluator
+    /// reads overlays directly).
     pub fn materialize(&self) -> Database {
         let mut live = match self.deletes {
             None => self.base.clone(),

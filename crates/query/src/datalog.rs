@@ -8,9 +8,11 @@
 
 use crate::cq::Atom;
 use crate::term::{Term, Var};
-use ric_data::{Database, Instance, Tuple, Value};
+use ric_data::index::FxHasher;
+use ric_data::{Instance, Tuple, TupleStore, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifies an IDB predicate within a [`Program`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -44,7 +46,7 @@ pub struct Rule {
 
 /// Hard cap on body literals per rule; beyond it [`Program::validate`]
 /// rejects the rule instead of letting the recursive evaluator chew through
-/// an adversarial body (each literal adds a recursion frame in `fire_inner`).
+/// an adversarial body (each literal adds a recursion frame in the evaluator).
 pub const MAX_RULE_BODY: usize = 4096;
 
 /// Why a program is ill-formed.
@@ -180,109 +182,556 @@ impl Program {
         Ok(())
     }
 
-    /// Evaluate the program on a database with a semi-naive fixpoint; returns
-    /// the output predicate's tuples.
-    pub fn eval(&self, db: &Database) -> BTreeSet<Tuple> {
-        self.eval_all(db)[self.output.0].iter().cloned().collect()
+    /// Evaluate the program on a store with a semi-naive fixpoint; returns
+    /// the output predicate's tuples. A caller that evaluates one program
+    /// many times compiles it once with [`Program::compile`] instead.
+    pub fn eval<S: TupleStore>(&self, db: &S) -> BTreeSet<Tuple> {
+        let mut compiled = self.compile();
+        compiled.run(db);
+        compiled.output()
     }
 
     /// Evaluate and return every IDB instance (useful for debugging and for
     /// the reduction tests, which inspect auxiliary predicates).
-    pub fn eval_all(&self, db: &Database) -> Vec<Instance> {
-        let n = self.arities.len();
-        let mut idb: Vec<Instance> = vec![Instance::new(); n];
-        let mut delta: Vec<Instance> = vec![Instance::new(); n];
+    pub fn eval_all<S: TupleStore>(&self, db: &S) -> Vec<Instance> {
+        let mut compiled = self.compile();
+        compiled.run(db);
+        (0..self.arities.len())
+            .map(|p| {
+                compiled
+                    .rows(PredId(p))
+                    .map(|row| Tuple::new(row.iter().cloned()))
+                    .collect()
+            })
+            .collect()
+    }
 
-        // First round: every rule against the (empty) IDB.
-        for rule in &self.rules {
-            for t in fire(rule, db, &idb, &delta, None) {
-                if idb[rule.head.0].insert(t.clone()) {
-                    delta[rule.head.0].insert(t);
-                }
-            }
+    /// Compile the program for repeated evaluation: each rule's body
+    /// schedule, probe columns and delta positions are worked out here once,
+    /// and the returned evaluator keeps its IDB tables and binding buffers
+    /// across [`CompiledProgram::run`] calls.
+    pub fn compile(&self) -> CompiledProgram<'_> {
+        CompiledProgram::new(self)
+    }
+}
+
+/// Empty slot of the row tables' open-addressing arrays, and the end of a
+/// column chain.
+const NIL: u32 = u32::MAX;
+
+/// One rule, compiled.
+struct CompiledRule {
+    /// Position of the rule in [`Program::rules`].
+    rule: usize,
+    /// `(body position, probe column)` per step, in schedule order. The probe
+    /// column of a relational literal is its first argument already bound
+    /// when the step runs (a constant, or a variable of an earlier step);
+    /// `None` scans.
+    steps: Vec<(usize, Option<usize>)>,
+    /// `(step, predicate)` of every IDB literal: the semi-naive delta
+    /// positions.
+    idb_steps: Vec<(usize, usize)>,
+}
+
+impl CompiledRule {
+    /// `None` for a rule that can derive nothing: no evaluable ordering (a
+    /// comparison never gets its variables bound), or an IDB arity that
+    /// disagrees with the declaration ([`Program::validate`] rejects both).
+    fn new(program: &Program, ri: usize) -> Option<Self> {
+        let rule = &program.rules[ri];
+        let arity_ok = |p: PredId, n: usize| program.arities.get(p.0) == Some(&n);
+        if !arity_ok(rule.head, rule.head_args.len()) {
+            return None;
         }
-        // Semi-naive iteration: each subsequent round requires at least one
-        // IDB literal bound to the previous round's delta.
-        loop {
-            let mut new_delta: Vec<Instance> = vec![Instance::new(); n];
-            let mut grew = false;
-            for rule in &self.rules {
-                let idb_positions: Vec<usize> = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, l)| matches!(l, Literal::Idb(..)).then_some(i))
-                    .collect();
-                for &pos in &idb_positions {
-                    let Literal::Idb(p, _) = &rule.body[pos] else {
-                        unreachable!()
-                    };
-                    if delta[p.0].is_empty() {
-                        continue;
+        let order = schedule_body(rule)?;
+        let mut bound = vec![false; rule.n_vars as usize];
+        let is_bound = |t: &Term, bound: &[bool]| match t {
+            Term::Const(_) => true,
+            Term::Var(v) => bound[v.idx()],
+        };
+        let mut steps = Vec::with_capacity(order.len());
+        let mut idb_steps = Vec::new();
+        for pos in order {
+            let args = match &rule.body[pos] {
+                Literal::Edb(a) => Some(&a.args[..]),
+                Literal::Idb(p, args) => {
+                    if !arity_ok(*p, args.len()) {
+                        return None;
                     }
-                    for t in fire(rule, db, &idb, &delta, Some(pos)) {
-                        if !idb[rule.head.0].contains(&t) {
-                            new_delta[rule.head.0].insert(t);
-                            grew = true;
-                        }
-                    }
+                    idb_steps.push((steps.len(), p.0));
+                    Some(&args[..])
                 }
+                Literal::Eq(l, r) => {
+                    for v in [l, r].into_iter().filter_map(Term::as_var) {
+                        bound[v.idx()] = true;
+                    }
+                    None
+                }
+                Literal::Neq(..) => None,
+            };
+            let key = args.and_then(|args| args.iter().position(|t| is_bound(t, &bound)));
+            for v in args.into_iter().flatten().filter_map(Term::as_var) {
+                bound[v.idx()] = true;
+            }
+            steps.push((pos, key));
+        }
+        Some(CompiledRule {
+            rule: ri,
+            steps,
+            idb_steps,
+        })
+    }
+}
+
+/// A [`Program`] compiled for repeated semi-naive evaluation over any
+/// [`TupleStore`].
+///
+/// The IDB predicates live in append-only row tables whose rows, dedup set
+/// and per-column indexes keep their buffers across runs, and every binding
+/// goes through one reused trail, so re-evaluating on a database no larger
+/// than an earlier one allocates nothing.
+pub struct CompiledProgram<'p> {
+    program: &'p Program,
+    /// The rules that can derive something.
+    rules: Vec<CompiledRule>,
+    state: State,
+}
+
+/// The IDB of one run. Rounds are row ranges: a predicate's rows before
+/// `lo` were derived before the last round, those in `lo..hi` in it, and
+/// rows a firing derives are appended at `hi` and beyond, invisible until
+/// the next round.
+struct State {
+    tables: Vec<RowTable>,
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    scratch: Scratch,
+}
+
+/// The mutable state of one rule firing.
+#[derive(Default)]
+struct Scratch {
+    binding: Vec<Option<Value>>,
+    /// Slots bound so far, in binding order; each level undoes its own.
+    trail: Vec<usize>,
+    /// Head rows derived by the current firing, row-major, added to the head
+    /// table once the firing ends.
+    derived: Vec<Value>,
+    n_derived: usize,
+}
+
+impl<'p> CompiledProgram<'p> {
+    fn new(program: &'p Program) -> Self {
+        let n_preds = program.arities.len();
+        let n_vars = program.rules.iter().map(|r| r.n_vars as usize).max();
+        CompiledProgram {
+            program,
+            rules: (0..program.rules.len())
+                .filter_map(|ri| CompiledRule::new(program, ri))
+                .collect(),
+            state: State {
+                tables: program.arities.iter().map(|&a| RowTable::new(a)).collect(),
+                lo: vec![0; n_preds],
+                hi: vec![0; n_preds],
+                scratch: Scratch {
+                    binding: vec![None; n_vars.unwrap_or(0)],
+                    ..Scratch::default()
+                },
+            },
+        }
+    }
+
+    /// Compute the least fixpoint on `db`, replacing the previous run's.
+    pub fn run<S: TupleStore>(&mut self, db: &S) {
+        let state = &mut self.state;
+        for t in &mut state.tables {
+            t.clear();
+        }
+        state.lo.fill(0);
+        state.hi.fill(0);
+        // First round: every rule against the empty IDB.
+        for c in &self.rules {
+            state.fire(&self.program.rules[c.rule], c, db, None);
+        }
+        // Semi-naive rounds: the rows the last round derived are the delta,
+        // and each firing binds one IDB literal to it.
+        loop {
+            let mut grew = false;
+            for (p, t) in state.tables.iter().enumerate() {
+                state.lo[p] = state.hi[p];
+                state.hi[p] = t.len;
+                grew |= state.lo[p] < state.hi[p];
             }
             if !grew {
                 break;
             }
-            for (full, d) in idb.iter_mut().zip(new_delta.iter()) {
-                full.union_with(d);
+            for c in &self.rules {
+                for &(step, pred) in &c.idb_steps {
+                    if state.lo[pred] < state.hi[pred] {
+                        state.fire(&self.program.rules[c.rule], c, db, Some(step));
+                    }
+                }
             }
-            // Note: classic semi-naive joins delta against "idb before this
-            // round" for the delta position; joining against the updated idb
-            // is still sound for positive programs (it may only find tuples
-            // earlier).
-            delta = new_delta;
         }
-        idb
+    }
+
+    /// Rows of `pred` derived by the last run, in derivation order.
+    pub fn rows(&self, pred: PredId) -> impl Iterator<Item = &[Value]> {
+        let t = &self.state.tables[pred.0];
+        (0..t.len).map(move |id| t.row(id))
+    }
+
+    /// Rows of the output predicate derived by the last run.
+    pub fn output_rows(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows(self.program.output)
+    }
+
+    /// Number of output rows of the last run.
+    pub fn output_len(&self) -> usize {
+        self.state.tables[self.program.output.0].len as usize
+    }
+
+    /// The output predicate's tuples from the last run.
+    pub fn output(&self) -> BTreeSet<Tuple> {
+        self.output_rows()
+            .map(|row| Tuple::new(row.iter().cloned()))
+            .collect()
     }
 }
 
-/// Evaluation context for one rule firing, threaded through the recursion.
-struct FireCtx<'a> {
-    rule: &'a Rule,
-    order: &'a [usize],
-    db: &'a Database,
-    idb: &'a [Instance],
-    delta: &'a [Instance],
-    /// Body position whose IDB literal joins against `delta` instead of the
-    /// full `idb` — the position-precise semi-naive restriction.
-    delta_pos: Option<usize>,
+impl State {
+    /// Fire `rule` (with the IDB literal of step `delta` bound to the last
+    /// round's rows), then add what it derived to the head table.
+    fn fire<S: TupleStore>(
+        &mut self,
+        rule: &Rule,
+        compiled: &CompiledRule,
+        store: &S,
+        delta: Option<usize>,
+    ) {
+        let firing = Firing {
+            rule,
+            steps: &compiled.steps,
+            tables: &self.tables,
+            lo: &self.lo,
+            hi: &self.hi,
+            store,
+            delta,
+        };
+        let sc = &mut self.scratch;
+        sc.derived.clear();
+        sc.n_derived = 0;
+        firing.rec(0, sc);
+        let head = &mut self.tables[rule.head.0];
+        let arity = head.arity;
+        for i in 0..sc.n_derived {
+            head.insert(&sc.derived[i * arity..(i + 1) * arity]);
+        }
+    }
 }
 
-/// Evaluate one rule body; if `delta_pos` is set, the IDB literal at that
-/// position ranges over the previous round's delta only, so every derived
-/// tuple genuinely uses a last-round fact at that position.
-fn fire(
-    rule: &Rule,
-    db: &Database,
-    idb: &[Instance],
-    delta: &[Instance],
-    delta_pos: Option<usize>,
-) -> Vec<Tuple> {
-    let Some(order) = schedule_body(rule) else {
-        // No evaluable ordering (a comparison never gets its variables
-        // bound); such a rule cannot derive anything.
-        return Vec::new();
-    };
-    let ctx = FireCtx {
-        rule,
-        order: &order,
-        db,
-        idb,
-        delta,
-        delta_pos,
-    };
-    let mut out = Vec::new();
-    let mut binding: Vec<Option<Value>> = vec![None; rule.n_vars as usize];
-    fire_inner(&ctx, 0, &mut binding, &mut out);
-    out
+/// One rule firing: the rule, its compiled steps and the tables it reads.
+struct Firing<'c, S> {
+    rule: &'c Rule,
+    steps: &'c [(usize, Option<usize>)],
+    tables: &'c [RowTable],
+    lo: &'c [u32],
+    hi: &'c [u32],
+    store: &'c S,
+    /// The step whose IDB literal ranges over the last round's rows only.
+    delta: Option<usize>,
+}
+
+impl<S: TupleStore> Firing<'_, S> {
+    fn rec(&self, depth: usize, sc: &mut Scratch) {
+        let Some(&(pos, key)) = self.steps.get(depth) else {
+            for t in &self.rule.head_args {
+                let v = match t {
+                    Term::Var(v) => sc.binding[v.idx()]
+                        .clone()
+                        .unwrap_or_else(|| unreachable!("head vars are range-restricted")),
+                    Term::Const(c) => c.clone(),
+                };
+                sc.derived.push(v);
+            }
+            sc.n_derived += 1;
+            return;
+        };
+        match &self.rule.body[pos] {
+            Literal::Eq(l, r) => {
+                let (a, b) = (term_val(l, &sc.binding), term_val(r, &sc.binding));
+                match (a, b) {
+                    (Some(a), Some(b)) => {
+                        if a == b {
+                            self.rec(depth + 1, sc);
+                        }
+                    }
+                    // The schedule binds at least one side first; bind the
+                    // other.
+                    (Some(bound), None) | (None, Some(bound)) => {
+                        let free = if a.is_none() { l } else { r };
+                        if let Term::Var(v) = free {
+                            sc.binding[v.idx()] = Some(bound.clone());
+                            self.rec(depth + 1, sc);
+                            sc.binding[v.idx()] = None;
+                        }
+                    }
+                    // Unreachable under a valid schedule; derive nothing.
+                    (None, None) => {}
+                }
+            }
+            Literal::Neq(l, r) => {
+                // A half-bound `≠` is unreachable under a valid schedule;
+                // it derives nothing rather than panic.
+                if let (Some(a), Some(b)) = (term_val(l, &sc.binding), term_val(r, &sc.binding)) {
+                    if a != b {
+                        self.rec(depth + 1, sc);
+                    }
+                }
+            }
+            Literal::Edb(atom) => {
+                let args = &atom.args;
+                let key = probe_key(args, key, &sc.binding);
+                let mut visit = |t: &Tuple| {
+                    self.matched(args, &t.0, depth, sc);
+                    true
+                };
+                match key {
+                    Some((col, v)) => self.store.probe(atom.rel, col, &v, &mut visit),
+                    None => self.store.scan(atom.rel, &mut visit),
+                };
+            }
+            Literal::Idb(p, args) => {
+                let table = &self.tables[p.0];
+                let hi = self.hi[p.0];
+                let lo = if self.delta == Some(depth) {
+                    self.lo[p.0]
+                } else {
+                    0
+                };
+                match probe_key(args, key, &sc.binding) {
+                    Some((col, v)) => {
+                        ric_data::index::count_probe();
+                        // Chains run in row order, so the rows of this round
+                        // (at `hi` and beyond) end the walk.
+                        let mut id = table.chain(col, &v);
+                        while id < hi {
+                            if id >= lo {
+                                self.matched(args, table.row(id), depth, sc);
+                            }
+                            id = table.cols[col].next[id as usize];
+                        }
+                    }
+                    None => {
+                        for id in lo..hi {
+                            self.matched(args, table.row(id), depth, sc);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bind `args` against `row` and, when they match, go one step deeper;
+    /// the binds are undone either way.
+    fn matched(&self, args: &[Term], row: &[Value], depth: usize, sc: &mut Scratch) {
+        if args.len() != row.len() {
+            return;
+        }
+        let mark = sc.trail.len();
+        let ok = args.iter().zip(row).all(|(term, value)| match term {
+            Term::Const(c) => c == value,
+            Term::Var(v) => match &sc.binding[v.idx()] {
+                Some(b) => b == value,
+                None => {
+                    sc.binding[v.idx()] = Some(value.clone());
+                    sc.trail.push(v.idx());
+                    true
+                }
+            },
+        });
+        if ok {
+            self.rec(depth + 1, sc);
+        }
+        for i in sc.trail.drain(mark..) {
+            sc.binding[i] = None;
+        }
+    }
+}
+
+/// The probe column and its bound value, when the step has one.
+fn probe_key(
+    args: &[Term],
+    key: Option<usize>,
+    binding: &[Option<Value>],
+) -> Option<(usize, Value)> {
+    key.and_then(|col| term_val(&args[col], binding).map(|v| (col, v.clone())))
+}
+
+fn term_val<'a>(t: &'a Term, binding: &'a [Option<Value>]) -> Option<&'a Value> {
+    match t {
+        Term::Const(c) => Some(c),
+        Term::Var(v) => binding[v.idx()].as_ref(),
+    }
+}
+
+/// The rows of one IDB predicate: row-major and append-only, deduplicated
+/// through an open-addressing set of row ids, with an append-only chain index
+/// per column. Every buffer keeps its capacity across [`RowTable::clear`].
+struct RowTable {
+    arity: usize,
+    len: u32,
+    /// `len × arity` values.
+    vals: Vec<Value>,
+    /// Open-addressing set of row ids (`NIL` = empty slot); its size is a
+    /// power of two at least twice `len`.
+    set: Vec<u32>,
+    cols: Vec<Chains>,
+}
+
+/// One column's index: an open-addressing map (the same size as the row
+/// set) from a value to the first and last row holding it in this column,
+/// and per row the next row with the same value, so a probe walks the
+/// matching rows in insertion order.
+#[derive(Default)]
+struct Chains {
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl RowTable {
+    fn new(arity: usize) -> Self {
+        RowTable {
+            arity,
+            len: 0,
+            vals: Vec::new(),
+            set: Vec::new(),
+            cols: (0..arity).map(|_| Chains::default()).collect(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+        self.vals.clear();
+        self.set.fill(NIL);
+        for c in &mut self.cols {
+            c.heads.fill(NIL);
+            c.next.clear();
+        }
+    }
+
+    fn row(&self, id: u32) -> &[Value] {
+        let start = id as usize * self.arity;
+        &self.vals[start..start + self.arity]
+    }
+
+    /// Add `row` unless present; returns whether it was new.
+    fn insert(&mut self, row: &[Value]) -> bool {
+        if self.set.len() < 2 * (self.len as usize + 1) {
+            self.grow();
+        }
+        let mask = self.set.len() - 1;
+        let mut i = slot(hash_row(row), mask);
+        while self.set[i] != NIL {
+            if self.row(self.set[i]) == row {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+        let id = self.len;
+        self.set[i] = id;
+        self.vals.extend_from_slice(row);
+        self.len += 1;
+        for col in 0..self.arity {
+            self.link(col, id);
+        }
+        true
+    }
+
+    /// Append row `id` to the chain of its value in column `col`.
+    fn link(&mut self, col: usize, id: u32) {
+        let arity = self.arity;
+        let v = &self.vals[id as usize * arity + col];
+        let chains = &mut self.cols[col];
+        chains.next.push(NIL);
+        let mask = chains.heads.len() - 1;
+        let mut i = slot(hash_value(v), mask);
+        loop {
+            let head = chains.heads[i];
+            if head == NIL {
+                chains.heads[i] = id;
+                chains.tails[i] = id;
+                return;
+            }
+            if self.vals[head as usize * arity + col] == *v {
+                chains.next[chains.tails[i] as usize] = id;
+                chains.tails[i] = id;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The first row with `v` in column `col`, or `NIL`.
+    fn chain(&self, col: usize, v: &Value) -> u32 {
+        let heads = &self.cols[col].heads;
+        if heads.is_empty() {
+            return NIL;
+        }
+        let mask = heads.len() - 1;
+        let mut i = slot(hash_value(v), mask);
+        loop {
+            let head = heads[i];
+            if head == NIL || self.vals[head as usize * self.arity + col] == *v {
+                return head;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the set and the column maps, and re-add the rows in order.
+    fn grow(&mut self) {
+        let size = (self.set.len() * 2).max(8);
+        self.set.clear();
+        self.set.resize(size, NIL);
+        for c in &mut self.cols {
+            c.heads.clear();
+            c.heads.resize(size, NIL);
+            c.tails.resize(size, NIL);
+            c.next.clear();
+        }
+        let mask = size - 1;
+        for id in 0..self.len {
+            let mut i = slot(hash_row(self.row(id)), mask);
+            while self.set[i] != NIL {
+                i = (i + 1) & mask;
+            }
+            self.set[i] = id;
+            for col in 0..self.arity {
+                self.link(col, id);
+            }
+        }
+    }
+}
+
+fn hash_row(row: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    for v in row {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+fn hash_value(v: &Value) -> u64 {
+    let mut h = FxHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Fold the high bits of a multiplicative hash into the slot index.
+fn slot(h: u64, mask: usize) -> usize {
+    (h ^ (h >> 32)) as usize & mask
 }
 
 /// Greedily order the body so every comparison sees the bindings it needs:
@@ -347,165 +796,10 @@ fn schedule_body(rule: &Rule) -> Option<Vec<usize>> {
     Some(order)
 }
 
-fn fire_inner(
-    ctx: &FireCtx<'_>,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    out: &mut Vec<Tuple>,
-) {
-    if depth == ctx.order.len() {
-        out.push(Tuple::new(ctx.rule.head_args.iter().map(|t| {
-            match t {
-                Term::Var(v) => binding[v.idx()]
-                    .clone()
-                    .unwrap_or_else(|| unreachable!("head vars are range-restricted")),
-                Term::Const(c) => c.clone(),
-            }
-        })));
-        return;
-    }
-    let pos = ctx.order[depth];
-    match &ctx.rule.body[pos] {
-        Literal::Eq(l, r) => {
-            match (term_val(l, binding), term_val(r, binding)) {
-                (Some(a), Some(b)) => {
-                    if a == b {
-                        fire_inner(ctx, depth + 1, binding, out);
-                    }
-                }
-                (Some(a), None) => {
-                    if let Term::Var(v) = r {
-                        binding[v.idx()] = Some(a);
-                        fire_inner(ctx, depth + 1, binding, out);
-                        binding[v.idx()] = None;
-                    }
-                }
-                (None, Some(b)) => {
-                    if let Term::Var(v) = l {
-                        binding[v.idx()] = Some(b);
-                        fire_inner(ctx, depth + 1, binding, out);
-                        binding[v.idx()] = None;
-                    }
-                }
-                // The schedule guarantees one side is bound; an unscheduled
-                // body never reaches here. Derive nothing rather than panic.
-                (None, None) => {}
-            }
-        }
-        Literal::Neq(l, r) => {
-            // A half-bound `≠` is unreachable under a valid schedule; the
-            // `is_some` guards derive nothing rather than panic.
-            let (a, b) = (term_val(l, binding), term_val(r, binding));
-            if a.is_some() && b.is_some() && a != b {
-                fire_inner(ctx, depth + 1, binding, out);
-            }
-        }
-        Literal::Edb(atom) => {
-            join_literal(
-                ctx,
-                ctx.db.instance(atom.rel),
-                &atom.args,
-                depth,
-                binding,
-                out,
-            );
-        }
-        Literal::Idb(p, args) => {
-            // The delta position ranges over last round's new facts only.
-            let inst = if ctx.delta_pos == Some(pos) {
-                &ctx.delta[p.0]
-            } else {
-                &ctx.idb[p.0]
-            };
-            join_literal(ctx, inst, args, depth, binding, out);
-        }
-    }
-}
-
-/// Match a relational literal against an instance: probe the per-column
-/// index when some argument is already bound, scan otherwise.
-fn join_literal(
-    ctx: &FireCtx<'_>,
-    inst: &Instance,
-    args: &[Term],
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    out: &mut Vec<Tuple>,
-) {
-    let probe_key = args
-        .iter()
-        .enumerate()
-        .find_map(|(col, t)| term_val(t, binding).map(|v| (col, v)));
-    match probe_key {
-        Some((col, v)) => {
-            let idx = inst.index();
-            for &id in idx.probe(col, &v) {
-                try_match(ctx, args, idx.tuple(id), depth, binding, out);
-            }
-        }
-        None => {
-            for tuple in inst.iter() {
-                try_match(ctx, args, tuple, depth, binding, out);
-            }
-        }
-    }
-}
-
-fn try_match(
-    ctx: &FireCtx<'_>,
-    args: &[Term],
-    tuple: &Tuple,
-    depth: usize,
-    binding: &mut Vec<Option<Value>>,
-    out: &mut Vec<Tuple>,
-) {
-    if args.len() != tuple.arity() {
-        return;
-    }
-    let mut newly: Vec<usize> = Vec::new();
-    for (term, value) in args.iter().zip(tuple.iter()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    for &i in &newly {
-                        binding[i] = None;
-                    }
-                    return;
-                }
-            }
-            Term::Var(v) => match &binding[v.idx()] {
-                Some(b) => {
-                    if b != value {
-                        for &i in &newly {
-                            binding[i] = None;
-                        }
-                        return;
-                    }
-                }
-                None => {
-                    binding[v.idx()] = Some(value.clone());
-                    newly.push(v.idx());
-                }
-            },
-        }
-    }
-    fire_inner(ctx, depth + 1, binding, out);
-    for &i in &newly {
-        binding[i] = None;
-    }
-}
-
-fn term_val(t: &Term, binding: &[Option<Value>]) -> Option<Value> {
-    match t {
-        Term::Const(c) => Some(c.clone()),
-        Term::Var(v) => binding[v.idx()].clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ric_data::{RelationSchema, Schema};
+    use ric_data::{Database, RelationSchema, Schema};
 
     fn setup() -> (Schema, Database) {
         let s = Schema::from_relations(vec![RelationSchema::infinite("E", &["a", "b"])]).unwrap();

@@ -30,7 +30,7 @@ pub mod term;
 pub mod ucq;
 
 pub use cq::{Atom, Cq};
-pub use datalog::{Literal, Program, Rule};
+pub use datalog::{CompiledProgram, Literal, Program, Rule};
 pub use efo::{EfoExpr, EfoQuery};
 pub use eval::QueryLanguage;
 pub use fo::{FoExpr, FoQuery};

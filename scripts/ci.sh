@@ -66,12 +66,14 @@
 #                              broken intra-doc links are build errors)
 #  22. candidate loop         (cargo test --test alloc_regression: a decision's
 #                              allocations must not grow with its valuation
-#                              count; cargo test --test work_counts: the
-#                              exact search's counters are pinned absolutely)
+#                              or candidate count; cargo test --test
+#                              work_counts: the exact and bounded searches'
+#                              counters are pinned absolutely)
 #  23. benchmark              (cargo test --manifest-path perfbench/Cargo.toml,
-#                              then a 2 s rcdp-exhaustive --trace 1 smoke that
-#                              fails on any counter or allocation determinism
-#                              mismatch between its passes)
+#                              then 2 s rcdp-exhaustive and bounded-query
+#                              --trace 1 smokes that fail on any counter or
+#                              allocation determinism mismatch between their
+#                              passes)
 #
 # Everything runs with --offline: the default build has zero third-party
 # dependencies, so no network access is ever required. The proptest suites
@@ -289,9 +291,11 @@ cargo test -q --offline --test work_counts
 # that every workload prints the declared metrics; the traced smoke runs the
 # untraced, traced and allocation-counted passes and exits nonzero when their
 # deterministic counts disagree.
-step "benchmark (perfbench self-checks, traced rcdp-exhaustive smoke)"
+step "benchmark (perfbench self-checks, traced rcdp-exhaustive and bounded-query smokes)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload rcdp-exhaustive --seed 1 --seconds 2 --trace 1 > /dev/null
+for workload in rcdp-exhaustive bounded-query; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1 > /dev/null
+done
 
 printf '\nci.sh: all checks passed\n'

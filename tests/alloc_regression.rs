@@ -1,18 +1,27 @@
-//! Allocation regression test for the exact RCDP candidate loop.
+//! Allocation regression test for the exact and bounded RCDP candidate
+//! loops.
 //!
-//! The search checks one candidate per valuation, so any allocation inside
-//! the loop multiplies by the valuation count. This binary installs a
-//! counting global allocator (here only, never in the library) and runs one
-//! prepared Example 3.1 FD decision at n = 24 and one at n = 48 — the larger
-//! sweeps about 4× the valuations — on the planned engine with 1 and 4
-//! workers. The decision's allocation count may grow with its setup (the
-//! active domain, and with workers the per-chunk bookkeeping of the pool),
-//! which is linear in |Adom|, but not with the number of valuations.
+//! The searches check one candidate per valuation or per tuple subset, so
+//! any allocation inside the loop multiplies by the candidate count. This
+//! binary installs a counting global allocator (here only, never in the
+//! library) and runs, on the planned engine with 1 and 4 workers:
+//!
+//! * one prepared Example 3.1 FD decision at n = 24 and one at n = 48 — the
+//!   larger sweeps about 4× the valuations. The decision's allocation count
+//!   may grow with its setup (the active domain, and with workers the
+//!   per-chunk bookkeeping of the pool), which is linear in |Adom|, but not
+//!   with the number of valuations;
+//! * the Theorem 3.1 2-head-DFA instance with `L = ∅` (an FP query the
+//!   bounded search evaluates per surviving candidate), at extension bound 2
+//!   (300 candidates) and 3 (2324). Per added candidate the decision may
+//!   allocate less than twice: chunks, counterexamples and the active
+//!   domain, not the candidates.
 //!
 //! Everything runs in one `#[test]` so no other test thread allocates while
 //! a decision is being counted.
 
 use ric::prelude::*;
+use ric::reductions::two_head_dfa::{self, TwoHeadDfa};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,6 +104,33 @@ fn measure(n: usize, workers: usize) -> (u64, u64, u64) {
     )
 }
 
+/// One bounded decision's allocations on the `L = ∅` 2-head-DFA instance
+/// at extension bound `k` (probe disabled), plus its
+/// `semidecide.candidates` from a second, traced run.
+fn measure_bounded(k: usize, workers: usize) -> (u64, u64) {
+    let engine = Engine::planned(workers);
+    let (setting, query, db) = two_head_dfa::to_rcdp_instance(&TwoHeadDfa::empty_language());
+    let prepared = prepare(&setting, &db, engine).unwrap();
+    let budget = SearchBudget {
+        max_delta_tuples: k,
+        fresh_values: 2,
+        max_candidates: 500_000,
+        ..SearchBudget::default()
+    }
+    .with_engine(engine);
+    let unknown = |v: &Verdict| matches!(v, Verdict::Unknown { .. });
+    assert!(unknown(
+        &try_rcdp_prepared(&prepared, &query, &db, &budget).unwrap()
+    ));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let verdict = try_rcdp_prepared(&prepared, &query, &db, &budget).unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(unknown(&verdict), "L(A) = ∅ has no counterexample");
+    let collector = Collector::new();
+    try_rcdp_prepared_probed(&prepared, &query, &db, &budget, Probe::attached(&collector)).unwrap();
+    (allocs, collector.report().counter("semidecide.candidates"))
+}
+
 #[test]
 fn decision_allocations_do_not_grow_with_valuations() {
     for workers in [1, 4] {
@@ -111,6 +147,23 @@ fn decision_allocations_do_not_grow_with_valuations() {
             per_adom <= 16.0,
             "workers={workers}: {a24} -> {a48} allocations for {v24} -> {v48} valuations \
              ({per_adom:.1} per added Adom value)"
+        );
+
+        let (b2, c2) = measure_bounded(2, workers);
+        let (b3, c3) = measure_bounded(3, workers);
+        eprintln!("workers={workers}: dfa-empty k=2 {b2} allocs / {c2} candidates; k=3 {b3} allocs / {c3} candidates");
+        assert_eq!(
+            (c2, c3),
+            (300, 2324),
+            "the bounded search's candidate counts"
+        );
+        // A bounded loop that evaluated the query from scratch, or built a
+        // database per candidate, would add tens of allocations a candidate.
+        let per_candidate = b3.saturating_sub(b2) as f64 / (c3 - c2) as f64;
+        assert!(
+            per_candidate < 2.0,
+            "workers={workers}: {b2} -> {b3} allocations for {c2} -> {c3} candidates \
+             ({per_candidate:.2} per added candidate)"
         );
     }
 }

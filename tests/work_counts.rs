@@ -9,8 +9,14 @@
 //! cells at n = 24 and n = 48 (CQ and UCQ), Theorem 3.6 ∀*∃*-3SAT
 //! instances, and planted (CQ, INDs) instances. A change to any figure is a
 //! change to the search, and has to be explained and re-pinned.
+//!
+//! The bounded semi-decision gets the same treatment: the Theorem 3.1
+//! 2-head-DFA cells (`L` nonempty and `L` empty, the benchmark's FP cells)
+//! pin the verdict with its counterexample and the candidate, CC-check,
+//! query-evaluation and delta-skip counters, on one worker and on four.
 
 use ric::prelude::*;
+use ric::reductions::two_head_dfa::{self, TwoHeadDfa};
 use ric::reductions::workload::{planted_rcdp, WorkloadParams};
 use ric::reductions::{qbf, rcdp_sigma2};
 use ric::SplitMix64;
@@ -132,6 +138,72 @@ fn exact_search_work_is_pinned() {
         got,
         expected,
         "work counters changed; actual table:\n{}",
+        rendered.join("\n")
+    );
+}
+
+/// One prepared bounded decision of the Theorem 3.1 instance for `dfa`, with
+/// the benchmark's budget: the verdict (counterexample included) and the
+/// bounded search's counters, `name=value` in name order.
+fn bounded_counts(dfa: &TwoHeadDfa, workers: usize) -> String {
+    let (setting, query, db) = two_head_dfa::to_rcdp_instance(dfa);
+    let engine = Engine::planned(workers);
+    let prepared = prepare(&setting, &db, engine).unwrap();
+    let budget = SearchBudget {
+        max_delta_tuples: 3,
+        fresh_values: 2,
+        max_candidates: 500_000,
+        ..SearchBudget::default()
+    }
+    .with_engine(engine);
+    let collector = Collector::new();
+    let decision =
+        try_rcdp_prepared_probed(&prepared, &query, &db, &budget, Probe::attached(&collector))
+            .unwrap();
+    let report = collector.report();
+    let counters = [
+        "semidecide.candidates",
+        "semidecide.cc_checks",
+        "semidecide.query_evals",
+        "cc.skipped_by_delta",
+    ]
+    .map(|name| format!("{name}={}", report.counter(name)))
+    .join(" ");
+    format!("{:?} {counters}", decision.verdict)
+}
+
+/// Recorded on the bounded search that materialized every surviving union
+/// and evaluated the datalog query from scratch per candidate.
+const PINNED_BOUNDED: &[(&str, &str)] = &[
+    ("dfa-nonempty-w1", "Incomplete(CounterExample { delta: [{(0)}, {}, {(0, 1), (1, 1)}], new_answer: () }) semidecide.candidates=920 semidecide.cc_checks=920 semidecide.query_evals=808 cc.skipped_by_delta=473"),
+    ("dfa-empty-w1", "Unknown { stats: SearchStats { limit: MaxDeltaTuples, valuations: 0, candidates: 2324, detail: \"bounded search: no violating extension with ≤ 3 tuple(s) over 24 candidate tuple(s) (2 fresh value(s))\" } } semidecide.candidates=2324 semidecide.cc_checks=2324 semidecide.query_evals=1619 cc.skipped_by_delta=824"),
+    ("dfa-nonempty-w4", "Incomplete(CounterExample { delta: [{(0)}, {}, {(0, 1), (1, 1)}], new_answer: () }) semidecide.candidates=920 semidecide.cc_checks=920 semidecide.query_evals=808 cc.skipped_by_delta=473"),
+    ("dfa-empty-w4", "Unknown { stats: SearchStats { limit: MaxDeltaTuples, valuations: 0, candidates: 2324, detail: \"bounded search: no violating extension with ≤ 3 tuple(s) over 24 candidate tuple(s) (2 fresh value(s))\" } } semidecide.candidates=2324 semidecide.cc_checks=2324 semidecide.query_evals=1619 cc.skipped_by_delta=824"),
+];
+
+#[test]
+fn bounded_search_work_is_pinned() {
+    let mut got = Vec::new();
+    for workers in [1, 4] {
+        for (label, dfa) in [
+            ("dfa-nonempty", TwoHeadDfa::ones()),
+            ("dfa-empty", TwoHeadDfa::empty_language()),
+        ] {
+            got.push((format!("{label}-w{workers}"), bounded_counts(&dfa, workers)));
+        }
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(cell, c)| format!("    (\"{cell}\", \"{}\"),", c.replace('"', "\\\"")))
+        .collect();
+    let expected: Vec<(String, String)> = PINNED_BOUNDED
+        .iter()
+        .map(|(a, b)| (a.to_string(), b.to_string()))
+        .collect();
+    assert_eq!(
+        got,
+        expected,
+        "bounded-search verdicts or counters changed; actual table:\n{}",
         rendered.join("\n")
     );
 }
